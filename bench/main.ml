@@ -648,8 +648,9 @@ let e12_explore ~smoke () =
     (Printf.sprintf "E12 exploration throughput (dedup/POR/domains)%s"
        (if smoke then " [smoke]" else ""));
   Printf.printf "host cores: %d%s\n" host_cores
-    (if host_cores < 4 then
+    (if host_cores = 1 then
        "  (domains>1 pays the multi-domain runtime with no parallelism)"
+     else if host_cores < 4 then "  (dom4 oversubscribes the cores)"
      else "");
   let checked_instance =
     if smoke then Protocols.Cas_election.instance ~k:6 ~n:5

@@ -308,8 +308,8 @@ let backend_verify_arg =
         ~doc:
           "Debug: with --backend arena, shadow every machine step with the \
            persistent reference engine and abort on the first divergence \
-           (works in every mode; forces the journaled reduced path when \
-           --dedup/--por is on).  Orders of magnitude slower.")
+           (works in every mode; runs the journal-free frame walk that \
+           --dedup/--por use).  Orders of magnitude slower.")
 
 let explore_max_steps =
   Arg.(

@@ -221,7 +221,7 @@ let config_equal a b =
        (fun (p : Proc.t) (q : Proc.t) ->
          p.Proc.steps = q.Proc.steps && status_equal p.Proc.status q.Proc.status)
        a.procs b.procs
-  && List.equal event_equal a.trace b.trace
+  && (a.trace == b.trace || List.equal event_equal a.trace b.trace)
 
 (* ------------------------------------------------------------------ *)
 (* The arena-backed machine: same step semantics, mutation + journal.  *)
@@ -685,128 +685,15 @@ module Machine = struct
   }
 
   (* Exhaustive naive walk (every interleaving, optional crash moves, no
-     memoization), counting only — the caller sees no configurations, so
-     nothing needs the journal or the trace: every move's undo data
-     lives in the DFS stack frame.  Memo-hit steps write the arena
-     directly and restore the saved state on backtrack; first visits and
-     non-memoizable steps (prim fallback, faults, decide-only programs)
-     go through the journaled [step_impl]/[undo_to] pair.  Crash moves
-     are a status flip both ways.  Traversal order and counter semantics
-     mirror the Explore naive DFS exactly; steps are not phase-
-     attributed here (metrics counters are still fed when enabled). *)
-  let walk_naive ?tick ~crash_faults ~max_steps ~depth0 ws m =
-    let n = Array.length m.statuses in
-    let statuses = m.statuses and pcs = m.pcs and steps = m.steps in
-    let arena = m.arena in
-    let sarr = Memory.Store.Arena.states_view arena in
-    let specs = Memory.Store.Arena.specs_view arena in
-    let metrics_on = Obs.Metrics.is_enabled () in
-    (* [running] is threaded through the recursion so leaves need no
-       status scan at all; every status flip below adjusts it. *)
-    let running0 = ref 0 in
-    for pid = 0 to n - 1 do
-      if statuses.(pid) = st_running then incr running0
-    done;
-    (* unsafe_get/set: [pid < n], memo ids are within the slot array by
-       the explicit length check, [memo_find] returns [< x_n], and
-       [x_loc] was interned by the arena — all indices are in bounds by
-       construction. *)
-    let rec go depth running =
-      if depth > ws.w_max_depth then ws.w_max_depth <- depth;
-      ws.w_configs <- ws.w_configs + 1;
-      (if ws.w_configs land 8191 = 0 then
-         match tick with None -> () | Some f -> f ws);
-      if running = 0 then ws.w_terminals <- ws.w_terminals + 1
-      else if depth >= max_steps then ws.w_truncated <- ws.w_truncated + 1
-      else begin
-        if running >= 2 || crash_faults then
-          ws.w_choice_points <- ws.w_choice_points + 1;
-        for pid = 0 to n - 1 do
-          if Array.unsafe_get statuses pid = st_running then begin
-            (let fast =
-               let pcv = Array.unsafe_get pcs pid in
-               if pcv < 0 then false
-               else
-                 let xa = Array.unsafe_get m.memos pid in
-                 if pcv >= Array.length xa then false
-                 else
-                   (* a memo only ever exists for non-[Done] nodes, so
-                      the [is_done] dispatch is implicit here *)
-                   match Array.unsafe_get xa pcv with
-                   | Some x when Array.unsafe_get specs x.x_loc == x.x_spec
-                     -> (
-                     let st = Array.unsafe_get sarr x.x_loc in
-                     let k = memo_find x st 0 in
-                     if k < 0 then false
-                     else begin
-                       (* gentle move-to-front: a hit bubbles one slot
-                          toward the front, so the DFS's temporal
-                          locality keeps the common state at scan
-                          position 0 without thrashing *)
-                       let k =
-                         if k > 0 then begin
-                           let pk = Array.unsafe_get x.x_keys (k - 1)
-                           and po = Array.unsafe_get x.x_outs (k - 1) in
-                           Array.unsafe_set x.x_keys (k - 1)
-                             (Array.unsafe_get x.x_keys k);
-                           Array.unsafe_set x.x_outs (k - 1)
-                             (Array.unsafe_get x.x_outs k);
-                           Array.unsafe_set x.x_keys k pk;
-                           Array.unsafe_set x.x_outs k po;
-                           k - 1
-                         end
-                         else k
-                       in
-                       let o = Array.unsafe_get x.x_outs k in
-                       if metrics_on then begin
-                         Obs.Metrics.incr m_steps;
-                         record_store_op x.x_op o.x_result
-                       end;
-                       Array.unsafe_set sarr x.x_loc o.x_state';
-                       Array.unsafe_set pcs pid o.x_next;
-                       let running' =
-                         match o.x_decided with
-                         | None -> running
-                         | Some v ->
-                           Array.unsafe_set statuses pid st_decided;
-                           Array.unsafe_set m.decided pid v;
-                           running - 1
-                       in
-                       Array.unsafe_set steps pid
-                         (Array.unsafe_get steps pid + 1);
-                       m.time <- m.time + 1;
-                       go (depth + 1) running';
-                       m.time <- m.time - 1;
-                       Array.unsafe_set steps pid
-                         (Array.unsafe_get steps pid - 1);
-                       Array.unsafe_set statuses pid st_running;
-                       Array.unsafe_set pcs pid pcv;
-                       Array.unsafe_set sarr x.x_loc st;
-                       true
-                     end)
-                   | _ -> false
-             in
-             if not fast then begin
-               let mk = m.jlen in
-               step_impl m pid;
-               go (depth + 1) (if is_running m pid then running else running - 1);
-               undo_to m mk
-             end);
-            if crash_faults then begin
-              Array.unsafe_set statuses pid st_crashed;
-              go depth (running - 1);
-              Array.unsafe_set statuses pid st_running
-            end
-          end
-        done
-      end
-    in
-    go depth0 !running0
-
-  (* [walk_naive] with per-leaf hooks: same traversal, same counters,
-     and — crucially — the same allocation-free memo fast path, kept as
-     a separate clone so the uncheckable plain walk above pays nothing
-     for the hook plumbing.  Every move is recorded into [path]
+     memoization) with per-leaf hooks.  No move needs the journal: each
+     move's undo data lives in the DFS stack frame.  Memo-hit steps
+     write the arena directly and restore the saved state on backtrack;
+     first visits and non-memoizable steps (prim fallback, faults,
+     decide-only programs) go through the journaled [step_impl]/
+     [undo_to] pair.  Crash moves are a status flip both ways.
+     Traversal order and counter semantics mirror the Explore naive DFS
+     exactly; steps are not phase-attributed here (metrics counters are
+     still fed when enabled).  Every move is recorded into [path]
      ([Step pid] as [pid], [Crash pid] as [-pid-1]); the hook argument
      is the number of moves currently recorded, so a hook can
      reconstruct the schedule (and from it the trace) by replaying
@@ -828,9 +715,11 @@ module Machine = struct
     for pid = 0 to n - 1 do
       if statuses.(pid) = st_running then incr running0
     done;
-    (* unsafe accesses: in bounds by the same argument as [walk_naive];
-       [path] writes stay under [max_steps + n + 1] by the slot-count
-       argument in the comment above. *)
+    (* unsafe_get/set: [pid < n], memo ids are within the slot array by
+       the explicit length check, [memo_find] returns [< x_n], [x_loc]
+       was interned by the arena, and [path] writes stay under
+       [max_steps + n + 1] by the slot-count argument above — all
+       indices are in bounds by construction. *)
     let rec go depth mc running =
       if depth > ws.w_max_depth then ws.w_max_depth <- depth;
       ws.w_configs <- ws.w_configs + 1;
@@ -856,6 +745,8 @@ module Machine = struct
                  let xa = Array.unsafe_get m.memos pid in
                  if pcv >= Array.length xa then false
                  else
+                   (* a memo only ever exists for non-[Done] nodes, so
+                      the [is_done] dispatch is implicit here *)
                    match Array.unsafe_get xa pcv with
                    | Some x when Array.unsafe_get specs x.x_loc == x.x_spec
                      -> (
@@ -863,6 +754,10 @@ module Machine = struct
                      let k = memo_find x st 0 in
                      if k < 0 then false
                      else begin
+                       (* gentle move-to-front: a hit bubbles one slot
+                          toward the front, so the DFS's temporal
+                          locality keeps the common state at scan
+                          position 0 without thrashing *)
                        let k =
                          if k > 0 then begin
                            let pk = Array.unsafe_get x.x_keys (k - 1)
@@ -927,6 +822,14 @@ module Machine = struct
     in
     go depth0 0 !running0
 
+  (* The counting-only walk: [walk_naive_checked] with no-op hooks and a
+     scratch path. *)
+  let walk_naive ?tick ~crash_faults ~max_steps ~depth0 ws m =
+    let skip (_ : int) = () in
+    walk_naive_checked ?tick ~crash_faults ~max_steps ~depth0
+      ~path:(Array.make (max_steps + n_procs m + 2) 0)
+      ~on_terminal:skip ~on_truncated:skip ws m
+
   let last_step_event m = m.last_valid
   let last_loc m = m.last_loc
   let last_op m = m.last_op
@@ -939,11 +842,11 @@ module Machine = struct
   (* ---- journal-free single-step frames ----
 
      The reduced explorer (dedup / sleep-set POR) cannot hand the whole
-     enumeration to [walk_naive]: it interleaves its own bookkeeping
+     enumeration to [walk_naive_checked]: it interleaves its own bookkeeping
      (fingerprint sums, sleep bitsets, visited table) between moves.
      A [frame] packages exactly one move's undo data in the caller's
      stack frame instead of the journal: [step_frame] replicates the
-     memoized fast path of [walk_naive] (direct array writes, gentle
+     memoized fast path of [walk_naive_checked] (direct array writes, gentle
      move-to-front) and records the inverse plus the step's store delta
      in the frame; first visits and non-memoizable steps fall back to
      the journaled [step_impl], with the frame holding only the mark.
@@ -995,7 +898,7 @@ module Machine = struct
             let k = memo_find x st 0 in
             if k < 0 then false
             else begin
-              (* gentle move-to-front, exactly as in [walk_naive] *)
+              (* gentle move-to-front, exactly as in [walk_naive_checked] *)
               let k =
                 if k > 0 then begin
                   let pk = x.x_keys.(k - 1) and po = x.x_outs.(k - 1) in
@@ -1067,7 +970,7 @@ module Machine = struct
   let frame_new_state m f = if f.f_fast then f.f_new else last_new_state m
 
   (* Crash moves in a frame-based walk are a status flip both ways —
-     identical to [walk_naive]'s crash handling, no journal entry.  The
+     identical to [walk_naive_checked]'s crash handling, no journal entry.  The
      caller must only crash a currently-running process and must pair
      every [crash_frame] with an [uncrash_frame] on backtrack. *)
   let crash_frame m pid = m.statuses.(pid) <- st_crashed

@@ -95,7 +95,10 @@ val config_equal : config -> config -> bool
     the clock, and the full trace with [time]/[pid] stamps.  Process
     programs — closures — are {e not} compared; by program determinism
     equal traces imply equal continuations.  Used by the explorer's
-    [verify_backend] lockstep mode and the cross-backend tests. *)
+    [verify_backend] lockstep mode: its frame walk bypasses the machine
+    journal, so it compares [{ (Machine.config m) with trace }] (the
+    shadow's own trace) at every node and checks each step's
+    [(loc, op, result)] against the shadow's newest event instead. *)
 
 (** The mutable execution machine: the [Arena] backend.
 
@@ -162,26 +165,6 @@ module Machine : sig
     mutable w_choice_points : int;
   }
 
-  val walk_naive :
-    ?tick:(walk_stats -> unit) ->
-    crash_faults:bool ->
-    max_steps:int ->
-    depth0:int ->
-    walk_stats ->
-    t ->
-    unit
-  (** Exhaustive naive enumeration (every interleaving; with
-      [crash_faults], every crash placement), counting into
-      [walk_stats] — the machine's raw hot path.  Because the caller
-      observes no configurations, each move's undo data lives in the
-      DFS stack frame: memoized transitions bypass the journal entirely
-      and the walk allocates nothing once the per-instruction
-      transition memos are warm.  Traversal order and counter semantics
-      match the {!Explore} naive DFS; [tick] fires every 8192nd
-      configuration counted from [w_configs]'s initial value.  Steps
-      are not phase-attributed; metrics counters are fed as usual.
-      The machine is back in its pre-walk state on return. *)
-
   val walk_naive_checked :
     ?tick:(walk_stats -> unit) ->
     crash_faults:bool ->
@@ -193,19 +176,40 @@ module Machine : sig
     walk_stats ->
     t ->
     unit
-  (** {!walk_naive} with per-leaf hooks: the same traversal, counters
-      and allocation-free memoized hot path, but every move is recorded
-      into [path] — a step of process [p] as [p], a crash of [p] as
-      [-p-1] — and [on_terminal] (resp. [on_truncated]) fires at each
-      terminal (resp. step-bound-truncated) leaf with the number of
-      moves currently recorded.  [path] must have at least
-      [max_steps + n_procs + 1] slots: at most [max_steps] step moves
-      plus one crash per process on any branch.  Because memoized
-      transitions bypass the journal, the machine's journal does not
-      cover the schedule at a leaf — hooks needing the trace must
-      replay [path] from the walk's root configuration (which is what
-      {!Config_view.of_machine_flat} arranges).  Hooks observe the
-      machine live, mid-walk, and must not step or undo it. *)
+  (** Exhaustive naive enumeration (every interleaving; with
+      [crash_faults], every crash placement), counting into
+      [walk_stats] — the machine's raw hot path.  Each move's undo data
+      lives in the DFS stack frame: memoized transitions bypass the
+      journal entirely and the walk allocates nothing once the
+      per-instruction transition memos are warm.  Traversal order and
+      counter semantics match the {!Explore} naive DFS; [tick] fires
+      every 8192nd configuration counted from [w_configs]'s initial
+      value.  Steps are not phase-attributed; metrics counters are fed
+      as usual.  The machine is back in its pre-walk state on return.
+
+      Every move is recorded into [path] — a step of process [p] as
+      [p], a crash of [p] as [-p-1] — and [on_terminal] (resp.
+      [on_truncated]) fires at each terminal (resp.
+      step-bound-truncated) leaf with the number of moves currently
+      recorded.  [path] must have at least [max_steps + n_procs + 1]
+      slots: at most [max_steps] step moves plus one crash per process
+      on any branch.  Because memoized transitions bypass the journal,
+      the machine's journal does not cover the schedule at a leaf —
+      hooks needing the trace must replay [path] from the walk's root
+      configuration (which is what {!Config_view.of_machine_flat}
+      arranges).  Hooks observe the machine live, mid-walk, and must
+      not step or undo it. *)
+
+  val walk_naive :
+    ?tick:(walk_stats -> unit) ->
+    crash_faults:bool ->
+    max_steps:int ->
+    depth0:int ->
+    walk_stats ->
+    t ->
+    unit
+  (** {!walk_naive_checked} with no-op hooks and a scratch [path]: the
+      counting-only walk.  There is one naive DFS; this is a wrapper. *)
 
   val access : t -> int -> (string * bool) option
   (** [(loc, is_read)] of the operation process [pid] is about to
@@ -249,7 +253,7 @@ module Machine : sig
       The building block of the reduced (dedup / sleep-set POR) arena
       walk: one move's undo data packaged in the caller's stack frame
       instead of the journal.  {!step_frame} takes the same memoized
-      fast path as {!walk_naive} — direct array writes, no journal
+      fast path as {!walk_naive_checked} — direct array writes, no journal
       entry, no allocation — and records the exact inverse in the
       frame; a first visit or non-memoizable step falls back to the
       journaled step with the frame holding only the journal mark.

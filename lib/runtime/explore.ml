@@ -156,33 +156,37 @@ let sleep_inter a b = List.filter (fun m -> sleep_mem m b) a
 (* ------------------------------------------------------------------ *)
 (* Internal knobs and mutable accumulators.                           *)
 
+(* Which DFS runs each item: the persistent reference, the arena naive
+   walk, or the arena frame walk that carries the reductions and the
+   lockstep shadow.  The frame walk needs its sleep bitsets (one bit
+   per step and per crash move) to fit an int; beyond that its modes
+   fall back to the reference, whose counters are identical. *)
+type walker = W_seq | W_arena_naive | W_arena_reduced
+
 type opts = {
   o_max_steps : int;
   o_crash_faults : bool;
   o_dedup : bool;
   o_por : bool;
-  o_backend : Engine.backend;
   o_verify : bool;
-  o_reduced : bool;
-      (* Arena + (dedup or por), no lockstep shadow, and the move
-         alphabet fits an int bitset: dispatch reduced exploration to
-         the journal-free bitset walk. *)
+  o_walker : walker;
   o_fast : bool array array option;
 }
 
 let opts_of (options : Options.t) ~n_procs =
+  let { Options.dedup; por; verify_backend; _ } = options in
   {
     o_max_steps = options.Options.max_steps;
     o_crash_faults = options.Options.crash_faults;
-    o_dedup = options.Options.dedup;
-    o_por = options.Options.por;
-    o_backend = options.Options.backend;
-    o_verify = options.Options.verify_backend;
-    o_reduced =
-      options.Options.backend = Engine.Arena
-      && (options.Options.dedup || options.Options.por)
-      && (not options.Options.verify_backend)
-      && 2 * n_procs <= 62;
+    o_dedup = dedup;
+    o_por = por;
+    o_verify = verify_backend;
+    o_walker =
+      (match options.Options.backend with
+      | Engine.Persistent -> W_seq
+      | Engine.Arena when not (dedup || por || verify_backend) -> W_arena_naive
+      | Engine.Arena when 2 * n_procs <= 62 -> W_arena_reduced
+      | Engine.Arena -> W_seq);
     o_fast = fast_matrix options.Options.footprints;
   }
 
@@ -290,9 +294,9 @@ let rtbl_add tbl m histories h sleep =
   tbl.r_count <- tbl.r_count + 1
 
 (* Visited-set representation, fixed per run by [opts]: the reference
-   walks ([explore_seq], [explore_seq_arena]) store the sleep set at
-   first visit as a move list keyed by full fingerprints; the reduced
-   arena walk uses the snapshot table above.  Dispatch depends on
+   walk ([explore_seq]) stores the sleep set at first visit as a move
+   list keyed by full fingerprints; the reduced arena walk uses the
+   snapshot table above.  Dispatch depends on
    [opts] alone — never on a particular DFS item — so workers can pick
    the representation before seeing any work and share one table
    across their frontier items. *)
@@ -302,7 +306,7 @@ type visited_tbl =
 
 let visited_create opts size =
   if not opts.o_dedup then None
-  else if opts.o_reduced then Some (V_bits (rtbl_create size))
+  else if opts.o_walker = W_arena_reduced then Some (V_bits (rtbl_create size))
   else Some (V_lists (Fingerprint.Tbl.create size))
 
 let visited_lists = function Some (V_lists t) -> Some t | _ -> None
@@ -471,195 +475,36 @@ let explore_seq ~opts ~acc ?tick ~visited ~analyze ~on_terminal ~on_truncated
 
 (* ------------------------------------------------------------------ *)
 (* The same DFS on the arena backend: one Engine.Machine per frontier  *)
-(* item, mutated on descent and journal-popped on backtrack.  Every    *)
-(* counter, callback, traversal order and pruning decision is the same *)
-(* as [explore_seq]'s — the two must agree config-for-config, which    *)
-(* the cross-backend tests and the [verify_backend] lockstep shadow    *)
-(* enforce.  Configurations are only materialized at leaves that have  *)
-(* callbacks; fingerprint sums are maintained incrementally from the   *)
-(* machine's step deltas.                                              *)
+(* item, mutated on descent and restored on backtrack.  Every counter, *)
+(* callback, traversal order and pruning decision is the same as       *)
+(* [explore_seq]'s — the two must agree config-for-config, which the   *)
+(* cross-backend tests and the [verify_backend] lockstep shadow        *)
+(* enforce.                                                            *)
 
-let move_access_m m = function
-  | Crash_m _ -> None
-  | Step_m pid -> Engine.Machine.access m pid
-
-let independent_m m m1 m2 =
-  move_pid m1 <> move_pid m2
-  &&
-  match (move_access_m m m1, move_access_m m m2) with
-  | None, _ | _, None -> true
-  | Some (l1, r1), Some (l2, r2) -> (not (String.equal l1 l2)) || (r1 && r2)
-
-let explore_seq_arena ~opts ~acc ?tick ~visited ~analyze ~on_terminal
-    ~on_truncated (config0, histories0, depth0, rpath0) =
-  let m = Engine.Machine.of_config config0 in
-  let n = Engine.Machine.n_procs m in
-  (* Frame-local save/restore instead of [explore_seq]'s copy-per-step:
-     one histories array for the whole item. *)
-  let histories = Array.copy histories0 in
-  let store_sum = ref 0 and proc_sum = ref 0 in
-  (if opts.o_dedup then begin
-     let s, p = Fingerprint.sums config0 histories0 in
-     store_sum := s;
-     proc_sum := p
-   end);
-  let verify shadow =
-    match shadow with
-    | None -> ()
-    | Some c ->
-      if not (Engine.config_equal c (Engine.Machine.config m)) then
-        failwith
-          (Printf.sprintf
-             "Explore: arena backend diverged from the persistent reference \
-              at time %d (verify_backend)"
-             (Engine.Machine.time m))
+(* Leaf-hook thunks over an arena walker's recorded move path ([Step p]
+   as [p], [Crash p] as [-p-1]).  Both read [path.(0 .. !mc_now - 1)],
+   the move path of the leaf whose hook is currently running, so they
+   are only valid for the duration of that hook call (the same borrow
+   discipline as the view itself). *)
+let path_thunks ~config0 ~rpath0 path mc_now =
+  let decisions () =
+    let ds = ref rpath0 in
+    for i = 0 to !mc_now - 1 do
+      let mv = Array.unsafe_get path i in
+      ds := (if mv >= 0 then Repro.Step mv else Repro.Crash (-mv - 1)) :: !ds
+    done;
+    !ds
   in
-  let rec go depth rpath sleep shadow =
-    verify shadow;
-    if depth > acc.a_max_depth then acc.a_max_depth <- depth;
-    let enabled = Engine.Machine.enabled m in
-    let leaf = enabled = [] || depth >= opts.o_max_steps in
-    let proceed sleep =
-      acc.a_configs <- acc.a_configs + 1;
-      if acc.a_configs land 8191 = 0 then
-        (match tick with Some f -> f acc | None -> ());
-      match enabled with
-      | [] ->
-        (match (analyze, on_terminal) with
-        | None, None -> acc.a_terminals <- acc.a_terminals + 1
-        | _ ->
-          (* Zero-copy: the hooks read the machine's live state through
-             the view; nothing is materialized unless they ask. *)
-          let view = Engine.Config_view.of_machine m in
-          let path () = rpath in
-          (match analyze with None -> () | Some f -> f view path);
-          acc.a_terminals <- acc.a_terminals + 1;
-          (match on_terminal with None -> () | Some f -> f view path))
-      | _ when depth >= opts.o_max_steps ->
-        acc.a_truncated <- acc.a_truncated + 1;
-        (match on_truncated with
-        | None -> ()
-        | Some f -> f (Engine.Config_view.of_machine m) (fun () -> rpath))
-      | pids ->
-        if (match pids with _ :: _ :: _ -> true | _ -> opts.o_crash_faults)
-        then acc.a_choice_points <- acc.a_choice_points + 1;
-        let rec loop sleep explored = function
-          | [] -> ()
-          | mv :: rest ->
-            if sleep_mem mv sleep then begin
-              acc.a_pruned <- acc.a_pruned + 1;
-              loop sleep explored rest
-            end
-            else begin
-              let child_sleep =
-                if opts.o_por then begin
-                  let tok = Lepower_prof.Phase.enter ph_por in
-                  let kept =
-                    List.filter
-                      (fun mv' ->
-                        acc.a_por_checks <- acc.a_por_checks + 1;
-                        let p = move_pid mv' and q = move_pid mv in
-                        match opts.o_fast with
-                        | Some fast
-                          when p <> q
-                               && p < Array.length fast
-                               && q < Array.length fast
-                               && fast.(p).(q) ->
-                          acc.a_fast <- acc.a_fast + 1;
-                          true
-                        | _ -> independent_m m mv' mv)
-                      (List.rev_append explored sleep)
-                  in
-                  Lepower_prof.Phase.leave tok;
-                  kept
-                end
-                else []
-              in
-              let rpath' = decision_of_move mv :: rpath in
-              (match mv with
-              | Step_m pid ->
-                let mk = Engine.Machine.mark m in
-                let saved_hist = histories.(pid) in
-                let saved_status = Engine.Machine.status m pid in
-                let saved_ssum = !store_sum and saved_psum = !proc_sum in
-                Engine.Machine.step m pid;
-                (if opts.o_dedup then begin
-                   (if Engine.Machine.last_step_event m then begin
-                      let loc = Engine.Machine.last_loc m in
-                      histories.(pid) <-
-                        Fingerprint.history_extend_op histories.(pid) ~loc
-                          ~op:(Engine.Machine.last_op m)
-                          ~result:(Engine.Machine.last_result m);
-                      store_sum :=
-                        !store_sum
-                        - Fingerprint.store_binding_hash loc
-                            (Engine.Machine.last_old_state m)
-                        + Fingerprint.store_binding_hash loc
-                            (Engine.Machine.last_new_state m)
-                    end);
-                   proc_sum :=
-                     !proc_sum
-                     - Fingerprint.proc_hash ~pid saved_status saved_hist
-                     + Fingerprint.proc_hash ~pid
-                         (Engine.Machine.status m pid)
-                         histories.(pid)
-                 end);
-                go (depth + 1) rpath' child_sleep
-                  (Option.map (fun c -> Engine.step c pid) shadow);
-                Engine.Machine.undo_to m mk;
-                histories.(pid) <- saved_hist;
-                store_sum := saved_ssum;
-                proc_sum := saved_psum
-              | Crash_m pid ->
-                let mk = Engine.Machine.mark m in
-                let saved_status = Engine.Machine.status m pid in
-                let saved_psum = !proc_sum in
-                Engine.Machine.crash m pid;
-                (if opts.o_dedup then
-                   proc_sum :=
-                     !proc_sum
-                     - Fingerprint.proc_hash ~pid saved_status histories.(pid)
-                     + Fingerprint.proc_hash ~pid
-                         (Engine.Machine.status m pid)
-                         histories.(pid));
-                go depth rpath' child_sleep
-                  (Option.map (fun c -> Engine.crash c pid) shadow);
-                Engine.Machine.undo_to m mk;
-                proc_sum := saved_psum);
-              loop sleep (if opts.o_por then mv :: explored else explored) rest
-            end
-        in
-        loop sleep [] (moves_of opts pids)
-    in
-    match visited with
-    | None -> proceed sleep
-    | Some tbl -> (
-      let tok = Lepower_prof.Phase.enter ph_fingerprint in
-      let action =
-        let key =
-          Fingerprint.of_parts ~store_sum:!store_sum ~proc_sum:!proc_sum
-            ~store:(Engine.Machine.state_bindings m)
-            ~procs:
-              (Array.init n (fun pid ->
-                   (Engine.Machine.status m pid, histories.(pid))))
-        in
-        match Fingerprint.Tbl.find_opt tbl key with
-        | None ->
-          Fingerprint.Tbl.add tbl key (if leaf then [] else sleep);
-          `Proceed sleep
-        | Some stored when leaf || sleep_subset stored sleep -> `Dedup
-        | Some stored ->
-          let sleep = sleep_inter sleep stored in
-          Fingerprint.Tbl.replace tbl key sleep;
-          `Proceed sleep
-      in
-      Lepower_prof.Phase.leave tok;
-      match action with
-      | `Dedup -> acc.a_deduped <- acc.a_deduped + 1
-      | `Proceed sleep -> proceed sleep)
+  let replay () =
+    let cfg = ref config0 in
+    for i = 0 to !mc_now - 1 do
+      let mv = Array.unsafe_get path i in
+      cfg :=
+        (if mv >= 0 then Engine.step !cfg mv else Engine.crash !cfg (-mv - 1))
+    done;
+    !cfg
   in
-  go depth0 rpath0 [] (if opts.o_verify then Some config0 else None);
-  m
+  (decisions, replay)
 
 (* Specialized arena walk for the naive mode (no dedup, no POR, no
    lockstep shadow): the traversal needs no move lists, no sleep sets
@@ -669,9 +514,7 @@ let explore_seq_arena ~opts ~acc ?tick ~visited ~analyze ~on_terminal
    checker reads (statuses, decisions, steps, store state) are O(1)
    array reads on the live machine, and only a hook that actually asks
    for the trace or the decision path pays, by replaying the walker's
-   recorded move path from this item's root configuration.  Same
-   traversal order and counters as [explore_seq_arena]; that equality
-   is what the cross-backend tests pin down. *)
+   recorded move path from this item's root configuration. *)
 let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
     ~on_truncated (config0, _histories0, depth0, rpath0) =
   let m = Engine.Machine.of_config config0 in
@@ -702,71 +545,41 @@ let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
           sync ws;
           f acc)
   in
+  let path = Array.make (opts.o_max_steps + Engine.Machine.n_procs m + 2) 0 in
+  let mc_now = ref 0 in
+  let decisions, replay = path_thunks ~config0 ~rpath0 path mc_now in
+  let on_terminal_mc mc =
+    match (analyze, on_terminal) with
+    | None, None -> ()
+    | _ ->
+      mc_now := mc;
+      (* One view per terminal, shared by both hooks, so the soundness
+         guard sees every access the leaf performed. *)
+      let view = Engine.Config_view.of_machine_flat m ~replay in
+      (match analyze with None -> () | Some f -> f view decisions);
+      (match on_terminal with None -> () | Some f -> f view decisions)
+  in
+  let on_truncated_mc mc =
+    match on_truncated with
+    | None -> ()
+    | Some f ->
+      mc_now := mc;
+      f (Engine.Config_view.of_machine_flat m ~replay) decisions
+  in
   (* [~finally]: a hook may abort the walk ([check_all] raises
      [Stop_exploration] on the first violation); the counters walked so
      far still belong in the accumulator. *)
   Fun.protect
     ~finally:(fun () -> sync ws)
     (fun () ->
-      match (analyze, on_terminal, on_truncated) with
-      | None, None, None ->
-        (* Counting-only walk: hand the whole enumeration to the
-           machine's journal-free hot path. *)
-        Engine.Machine.walk_naive ?tick ~crash_faults:opts.o_crash_faults
-          ~max_steps:opts.o_max_steps ~depth0 ws m
-      | _ ->
-        let path = Array.make (opts.o_max_steps + Engine.Machine.n_procs m + 2) 0 in
-        let mc_now = ref 0 in
-        (* Both thunks read [path.(0 .. !mc_now - 1)], the move path of
-           the leaf whose hook is currently running; they are only
-           valid for the duration of that hook call (the same borrow
-           discipline as the view itself). *)
-        let decisions () =
-          let ds = ref rpath0 in
-          for i = 0 to !mc_now - 1 do
-            let mv = Array.unsafe_get path i in
-            ds :=
-              (if mv >= 0 then Repro.Step mv else Repro.Crash (-mv - 1))
-              :: !ds
-          done;
-          !ds
-        in
-        let replay () =
-          let cfg = ref config0 in
-          for i = 0 to !mc_now - 1 do
-            let mv = Array.unsafe_get path i in
-            cfg :=
-              (if mv >= 0 then Engine.step !cfg mv
-               else Engine.crash !cfg (-mv - 1))
-          done;
-          !cfg
-        in
-        let on_terminal_mc mc =
-          match (analyze, on_terminal) with
-          | None, None -> ()
-          | _ ->
-            mc_now := mc;
-            (* One view per terminal, shared by both hooks, so the
-               soundness guard sees every access the leaf performed. *)
-            let view = Engine.Config_view.of_machine_flat m ~replay in
-            (match analyze with None -> () | Some f -> f view decisions);
-            (match on_terminal with None -> () | Some f -> f view decisions)
-        in
-        let on_truncated_mc mc =
-          match on_truncated with
-          | None -> ()
-          | Some f ->
-            mc_now := mc;
-            f (Engine.Config_view.of_machine_flat m ~replay) decisions
-        in
-        Engine.Machine.walk_naive_checked ?tick
-          ~crash_faults:opts.o_crash_faults ~max_steps:opts.o_max_steps
-          ~depth0 ~path ~on_terminal:on_terminal_mc
-          ~on_truncated:on_truncated_mc ws m);
+      Engine.Machine.walk_naive_checked ?tick
+        ~crash_faults:opts.o_crash_faults ~max_steps:opts.o_max_steps ~depth0
+        ~path ~on_terminal:on_terminal_mc ~on_truncated:on_truncated_mc ws m);
   m
 
-(* Reduced exploration (dedup and/or sleep-set POR) journal-free on the
-   machine's flat arrays.  Per-move undo lives in a stack of reusable
+(* Reduced or verified exploration (dedup, sleep-set POR and/or the
+   [verify_backend] lockstep shadow) journal-free on the machine's flat
+   arrays.  Per-move undo lives in a stack of reusable
    [Machine.frame]s — memo-hit steps bypass the journal entirely and
    crashes are unjournaled status flips.  Sleep sets are int bitsets
    ([Step_m p] at bit [p], [Crash_m p] at bit [n + p]; dispatch
@@ -858,25 +671,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
     end
   in
   let mc_now = ref 0 in
-  (* Hook thunks, as in [explore_arena_naive]: valid only while the
-     hook runs, reconstruct the schedule from [path.(0 .. !mc_now-1)]. *)
-  let decisions () =
-    let ds = ref rpath0 in
-    for i = 0 to !mc_now - 1 do
-      let mv = Array.unsafe_get path i in
-      ds := (if mv >= 0 then Repro.Step mv else Repro.Crash (-mv - 1)) :: !ds
-    done;
-    !ds
-  in
-  let replay () =
-    let cfg = ref config0 in
-    for i = 0 to !mc_now - 1 do
-      let mv = Array.unsafe_get path i in
-      cfg :=
-        (if mv >= 0 then Engine.step !cfg mv else Engine.crash !cfg (-mv - 1))
-    done;
-    !cfg
-  in
+  let decisions, replay = path_thunks ~config0 ~rpath0 path mc_now in
   (* Sleep-set filter for the child of taken move [(q, q_crash)]: keep
      each candidate bit of [cand] that is independent of the move, with
      the static fast matrix consulted first — the same per-candidate
@@ -926,7 +721,53 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
     Lepower_prof.Phase.leave tok;
     !kept
   in
+  (* Lockstep shadow ([verify_backend]): [shadows.(mc)] is the
+     persistent reference configuration of the node the first [mc]
+     moves of the current path reach, so backtracking restores nothing.
+     Every read and write sits behind [opts.o_verify], so the
+     unverified walk pays one branch per move and allocates nothing for
+     it.  Frames bypass the journal, so [Machine.config]'s trace is
+     incomplete: each node compares everything else against the shadow,
+     and each step compares the frame's event with the shadow's newest
+     one. *)
+  let shadows = if opts.o_verify then Array.make slots config0 else [||] in
+  let diverged what =
+    failwith
+      (Printf.sprintf
+         "Explore: arena backend diverged from the persistent reference \
+          at time %d (verify_backend: %s)"
+         (Engine.Machine.time m) what)
+  in
+  let verify_node mc =
+    let c = shadows.(mc) in
+    if
+      not
+        (Engine.config_equal c
+           { (Engine.Machine.config m) with Engine.trace = c.Engine.trace })
+    then diverged "configuration"
+  in
+  let verify_step mc pid f =
+    let parent = shadows.(mc) in
+    let c = Engine.step parent pid in
+    shadows.(mc + 1) <- c;
+    let same =
+      if c.Engine.trace == parent.Engine.trace then
+        not (Engine.Machine.frame_step_event m f)
+      else
+        match c.Engine.trace with
+        | e :: _ ->
+          Engine.Machine.frame_step_event m f
+          && e.Trace.pid = pid
+          && String.equal e.Trace.loc (Engine.Machine.frame_loc m f)
+          && Memory.Value.equal e.Trace.op (Engine.Machine.frame_op m f)
+          && Memory.Value.equal e.Trace.result
+               (Engine.Machine.frame_result m f)
+        | [] -> false
+    in
+    if not same then diverged "step event"
+  in
   let rec go depth mc running sleep =
+    if opts.o_verify then verify_node mc;
     if depth > acc.a_max_depth then acc.a_max_depth <- depth;
     let leaf = running = 0 || depth >= opts.o_max_steps in
     let proceed sleep =
@@ -975,6 +816,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
                let saved_hist = histories.(pid) in
                let saved_ssum = !store_sum and saved_psum = !proc_sum in
                Engine.Machine.step_frame m pid f;
+               if opts.o_verify then verify_step mc pid f;
                (if opts.o_dedup then begin
                   (if Engine.Machine.frame_step_event m f then begin
                      let loc = Engine.Machine.frame_loc m f in
@@ -1019,6 +861,8 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
                 in
                 let saved_psum = !proc_sum in
                 Engine.Machine.crash_frame m pid;
+                if opts.o_verify then
+                  shadows.(mc + 1) <- Engine.crash shadows.(mc) pid;
                 (if opts.o_dedup then
                    proc_sum :=
                      !proc_sum
@@ -1069,31 +913,23 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
    both the [domains <= 1] path and the frontier workers. *)
 let explore_item ~opts ~acc ?tick ~visited ~analyze ~on_terminal
     ~on_truncated ~on_lowering item =
-  match opts.o_backend with
-  | Engine.Persistent ->
-    explore_seq ~opts ~acc ?tick ~visited:(visited_lists visited) ~analyze
-      ~on_terminal ~on_truncated item
-  | Engine.Arena -> (
-    let m =
-      if
-        (not opts.o_dedup) && (not opts.o_por) && (not opts.o_verify)
-        && visited = None
-      then
-        explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
-          ~on_truncated item
-      else if opts.o_reduced then
-        explore_arena_reduced ~opts ~acc ?tick
-          ~visited:(visited_bits visited) ~analyze ~on_terminal ~on_truncated
-          item
-      else
-        (* Lockstep shadow ([verify_backend]) or an oversized move
-           alphabet: the journaled reference walk. *)
-        explore_seq_arena ~opts ~acc ?tick ~visited:(visited_lists visited)
-          ~analyze ~on_terminal ~on_truncated item
-    in
+  let lowered m =
     match on_lowering with
     | None -> ()
-    | Some f -> f (Engine.Machine.reports m))
+    | Some f -> f (Engine.Machine.reports m)
+  in
+  match opts.o_walker with
+  | W_seq ->
+    explore_seq ~opts ~acc ?tick ~visited:(visited_lists visited) ~analyze
+      ~on_terminal ~on_truncated item
+  | W_arena_naive ->
+    lowered
+      (explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
+         ~on_truncated item)
+  | W_arena_reduced ->
+    lowered
+      (explore_arena_reduced ~opts ~acc ?tick ~visited:(visited_bits visited)
+         ~analyze ~on_terminal ~on_truncated item)
 
 (* ------------------------------------------------------------------ *)
 (* Multicore frontier exploration.                                    *)

@@ -125,24 +125,34 @@ module Options : sig
             compiled programs, mutable store, O(1) snapshot/undo on
             backtrack, incremental fingerprint sums — and is
             substantially faster; verdicts, statistics, decision sets
-            and reported witness paths are identical.  With [dedup]
-            and/or [por] the walk is journal-free between choice
-            points: per-move undo lives in stack frames
-            ({!Engine.Machine.step_frame}), sleep sets are int bitsets,
-            and the dedup key is maintained incrementally from each
-            step's store delta, so no full configuration is ever
+            and reported witness paths are identical.  Every arena walk
+            is journal-free: with no [dedup], [por] or [verify_backend]
+            it is {!Engine.Machine.walk_naive_checked}; otherwise one
+            frame walk carries all three — per-move undo lives in stack
+            frames ({!Engine.Machine.step_frame}), sleep sets are int
+            bitsets, and the dedup key is maintained incrementally from
+            each step's store delta, so no full configuration is ever
             materialized on the hot path (see DESIGN.md §7 for the
-            contract).  A program whose compiled form outgrows its node
-            budget transparently falls back to closure interpretation
-            (see {!Program.Compiled}/[on_lowering]); the frontier split
-            under [domains] stays persistent either way (it is shallow
-            and exact). *)
+            contract).  The bitsets need [2 * n_procs <= 62]; a larger
+            instance runs that frame walk's modes on the persistent
+            reference instead, with identical statistics (and so no
+            [on_lowering] reports).  A program whose compiled form
+            outgrows its node budget transparently falls back to
+            closure interpretation (see {!Program.Compiled}/
+            [on_lowering]); the frontier split under [domains] stays
+            persistent either way (it is shallow and exact). *)
     verify_backend : bool;
-        (** debug flag (default [false], [Arena] only): shadow every
-            machine step with the persistent reference and [failwith] on
-            the first divergence ({!Engine.config_equal} after every
-            move).  Orders of magnitude slower; for test suites and
-            bug hunts, not for campaigns. *)
+        (** debug flag (default [false], [Arena] only): run the frame
+            walk with a lockstep shadow — the persistent reference
+            stepped alongside every machine move — and [failwith] on
+            the first divergence: at every node the machine's store,
+            statuses, step counts and clock must be
+            {!Engine.config_equal} to the shadow's, and every step's
+            [(loc, op, result)] must match the shadow's newest trace
+            event.  Composes with [dedup]/[por]; beyond
+            [2 * n_procs > 62] the walk is the reference itself and
+            there is nothing to shadow.  Orders of magnitude slower; for
+            test suites and bug hunts, not for campaigns. *)
     footprints : (string list * string list) array;
         (** per-pid static (may-read, may-write) location lists, indexed
             by pid — seeds a pairwise commutation matrix giving [por] a

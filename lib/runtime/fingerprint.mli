@@ -89,12 +89,10 @@ val hash : t -> int
     ({!proc_hash}) — combined by {!combine}.  Because the sums commute,
     a caller that knows which single binding or process a step changed
     can maintain them in O(1): [sum - old_term + new_term] (native
-    wrap-around [+]/[-]).  {!sums} computes them from scratch;
-    {!of_parts} assembles a fingerprint from maintained sums.
-    [make config hs] and
-    [of_parts ~store_sum ~proc_sum ...] agree whenever the sums equal
-    [sums config hs] — the property the test suite checks over random
-    op sequences. *)
+    wrap-around [+]/[-]).  {!sums} computes them from scratch, and
+    [combine] of maintained sums equals [hash (make config hs)] whenever
+    they equal [sums config hs] — the property the test suite checks
+    over random op sequences. *)
 
 val store_binding_hash : string -> Memory.Value.t -> int
 (** The store sum's term for one [loc -> state] binding. *)
@@ -116,17 +114,6 @@ val combine : store_sum:int -> proc_sum:int -> int
 val sums : Engine.config -> history array -> int * int
 (** [(store_sum, proc_sum)] computed from scratch, without
     materializing binding lists. *)
-
-val of_parts :
-  store_sum:int ->
-  proc_sum:int ->
-  store:(string * Memory.Value.t) list ->
-  procs:(Proc.status * history) array ->
-  t
-(** Assemble a fingerprint from incrementally-maintained sums plus the
-    canonical structural components (used by [equal] on hash
-    collision).  [store] must be sorted by location; [procs.(pid)] must
-    match the terms folded into [proc_sum]. *)
 
 module Tbl : Hashtbl.S with type key = t
 

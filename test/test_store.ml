@@ -300,10 +300,10 @@ let test_decision_sets_agree () =
 
 let test_verify_backend () =
   (* The lockstep debug flag shadows every machine move with the
-     persistent reference and fails on the first divergence.  Running it
-     per mode also keeps the journaled reduced path (the fallback the
-     lockstep shadow runs on) exercised alongside the journal-free
-     walk. *)
+     persistent reference and fails on the first divergence.  In every
+     mode, naive included, it runs on the journal-free frame walk, so
+     this also checks that walk's moves step for step against the
+     reference. *)
   List.iter
     (fun (mode, dedup, por) ->
       let stats =
@@ -315,6 +315,100 @@ let test_verify_backend () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s: verify_backend run failed: %s" mode e)
     modes
+
+(* An object whose responses count its own invocations: [apply] is
+   impure, so the machine (which memoizes each transition after its
+   first visit) and the persistent reference (which re-applies the spec
+   every time) see different responses for the same operation. *)
+let impure_config () =
+  let calls = ref 0 in
+  let spec =
+    Spec.make ~type_name:"impure-counter" ~init:(Value.int 0)
+      ~apply:(fun ~pid:_ state _op ->
+        incr calls;
+        Ok (state, Value.int !calls))
+  in
+  let prog =
+    let open Runtime.Program in
+    complete
+      (let* a = op "x" (Value.sym "read") in
+       let* _ = op "x" (Value.sym "read") in
+       return a)
+  in
+  Engine.init (Store.create [ ("x", spec) ]) [ prog; prog; prog ]
+
+let test_verify_backend_trips () =
+  (* The flag must be able to fail: over the impure object above every
+     mode raises the divergence [Failure], while the same run without
+     the flag completes. *)
+  List.iter
+    (fun (mode, dedup, por) ->
+      let options =
+        { (opts ~dedup ~por Engine.Arena) with crash_faults = false }
+      in
+      ignore (Explore.explore ~options (impure_config ()));
+      match
+        Explore.explore
+          ~options:{ options with verify_backend = true }
+          (impure_config ())
+      with
+      | _ -> Alcotest.failf "%s: verify_backend missed the divergence" mode
+      | exception Failure msg ->
+        Alcotest.(check bool)
+          (mode ^ ": divergence reported")
+          true
+          (String.starts_with
+             ~prefix:"Explore: arena backend diverged from the persistent"
+             msg))
+    modes
+
+let test_wide_fallback () =
+  (* Sleep bitsets hold one bit per step and per crash move, so beyond
+     31 processes the reduced and verified arena modes run on the
+     persistent reference — no machine is built, so [on_lowering] stays
+     silent.  A 32-process election with all but three processes crashed
+     up front keeps [crash_faults] enumerable (crash moves do not
+     consume the step bound, so 32 crash-able processes would reach
+     2^32 crash subsets); [max_steps = 2] truncates after two levels. *)
+  let instance = Protocols.Cas_election.instance ~k:33 ~n:32 in
+  let config =
+    let c = ref (Protocols.Election.config instance) in
+    for pid = 0 to 28 do
+      c := Engine.crash !c pid
+    done;
+    !c
+  in
+  List.iter
+    (fun (mode, dedup, por, verify_backend) ->
+      let options backend =
+        { (opts ~dedup ~por backend) with max_steps = 2; verify_backend }
+      in
+      let lowered = ref false in
+      let sa =
+        Explore.explore
+          ~options:
+            {
+              (options Engine.Arena) with
+              on_lowering = Some (fun _ -> lowered := true);
+            }
+          config
+      in
+      Alcotest.(check bool)
+        (mode ^ ": stats identical across backends")
+        true
+        (Explore.explore ~options:(options Engine.Persistent) config = sa);
+      Alcotest.(check bool)
+        (mode ^ ": decision sets identical across backends")
+        true
+        (Explore.decision_sets ~options:(options Engine.Persistent) config
+        = Explore.decision_sets ~options:(options Engine.Arena) config);
+      Alcotest.(check bool) (mode ^ ": no machine built") false !lowered)
+    [
+      ("dedup", true, false, false);
+      ("por", false, true, false);
+      ("dedup+por", true, true, false);
+      ("verify", false, false, true);
+    ]
 
 (* --- fuzz certificates: identical across backends, replay on both --- *)
 
@@ -424,6 +518,9 @@ let () =
           Alcotest.test_case "decision sets" `Quick test_decision_sets_agree;
           Alcotest.test_case "verify-backend lockstep" `Quick
             test_verify_backend;
+          Alcotest.test_case "verify-backend trips on divergence" `Quick
+            test_verify_backend_trips;
+          Alcotest.test_case "over 31 processes" `Quick test_wide_fallback;
           Alcotest.test_case "fuzz certificates" `Quick test_fuzz_certs_agree;
           Alcotest.test_case "forced fallback digest" `Quick
             test_fallback_digest;
