@@ -21,12 +21,14 @@ module View = Runtime.Engine.Config_view
    on the arena backend, no per-terminal materialization.  The old
    validity test scanned the trace for the leader's pid; [View.stepped]
    (steps > 0) is equivalent — both backends record an event exactly
-   when they increment a step count — and order-insensitive. *)
-let check_config t view =
+   when they increment a step count — and order-insensitive.
+
+   [check_config] runs on every terminal of a checked walk, so a
+   satisfying terminal is answered from [View.settle]'s single
+   allocation-free pass plus the leader's validity; [violation] builds
+   the fault, decision and step-bound lists only to word an error. *)
+let violation t view =
   let faults = View.faults view in
-  (* First-decider order, no sort: this runs on every terminal of a
-     checked walk, so the happy path must not allocate more than the
-     decision list itself.  The violation report below re-sorts. *)
   let distinct = View.distinct_decisions view in
   let over_bound = View.over_step_bound view t.step_bound in
   match (faults, View.has_running view, distinct, over_bound) with
@@ -57,6 +59,15 @@ let check_config t view =
       Error
         (Printf.sprintf "validity violated: leader %d never took a step" pid)
     else Ok ()
+
+let check_config t view =
+  let first = View.settle view t.step_bound in
+  if first = View.nobody_decided then Ok ()
+  else if first = View.unsettled then violation t view
+  else
+    match View.decided view first with
+    | Value.Int pid when pid >= 0 && pid < t.n && View.stepped view pid -> Ok ()
+    | _ -> violation t view
 
 let check_partial t view =
   (* For judging replayed schedule prefixes (Runtime.Repro shrinking):

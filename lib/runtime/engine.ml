@@ -1202,25 +1202,41 @@ module Config_view = struct
     | V_config c -> Proc.is_running c.procs.(pid)
     | V_machine m | V_flat (m, _) -> Machine.is_running m pid
 
+  let reset v =
+    v.ordered <- false;
+    v.cached_trace <- None;
+    match v.impl with
+    | V_config _ -> () (* [cached_config] is the config itself *)
+    | V_machine _ | V_flat _ -> v.cached_config <- None
+
   (* The per-pid accessors below are specialized per implementation
      rather than layered on [status]: checkers run them on every
      terminal of a walk, and the generic path would allocate a
-     [Proc.status] per query on the machine backend. *)
+     [Proc.status] per query on the machine backend.
+
+     Their loops are top-level functions taking the arrays as
+     arguments, with the arrays annotated, because of two silent
+     pitfalls of ocamlopt without flambda:
+     - a local [let rec go] that captures the arrays is a closure,
+       allocated afresh on every call of the enclosing accessor, and so
+       is a partial application such as [Value.equal x];
+     - a comparison whose operands are not known to be [int] (a
+       polymorphic helper, an unannotated array) compiles to the
+       generic [caml_greaterthan]/[caml_equal] C call instead of an
+       inline integer compare. *)
+
+  let rec procs_any_running (procs : Proc.t array) pid =
+    pid < Array.length procs
+    && (Proc.is_running procs.(pid) || procs_any_running procs (pid + 1))
+
+  let rec flat_any_running (st : int array) pid =
+    pid < Array.length st
+    && (st.(pid) = Machine.st_running || flat_any_running st (pid + 1))
 
   let has_running v =
     match v.impl with
-    | V_config c ->
-      let procs = c.procs in
-      let n = Array.length procs in
-      let rec go pid = pid < n && (Proc.is_running procs.(pid) || go (pid + 1)) in
-      go 0
-    | V_machine m | V_flat (m, _) ->
-      let st = m.Machine.statuses in
-      let n = Array.length st in
-      let rec go pid =
-        pid < n && (st.(pid) = Machine.st_running || go (pid + 1))
-      in
-      go 0
+    | V_config c -> procs_any_running c.procs 0
+    | V_machine m | V_flat (m, _) -> flat_any_running m.Machine.statuses 0
 
   let steps v pid =
     match v.impl with
@@ -1242,28 +1258,22 @@ module Config_view = struct
     done;
     !best
 
+  let rec procs_over_bound (procs : Proc.t array) (bound : int) pid =
+    if pid >= Array.length procs then None
+    else
+      let s = procs.(pid).Proc.steps in
+      if s > bound then Some (pid, s) else procs_over_bound procs bound (pid + 1)
+
+  let rec flat_over_bound (steps : int array) (bound : int) pid =
+    if pid >= Array.length steps then None
+    else
+      let s = steps.(pid) in
+      if s > bound then Some (pid, s) else flat_over_bound steps bound (pid + 1)
+
   let over_step_bound v bound =
     match v.impl with
-    | V_config c ->
-      let procs = c.procs in
-      let n = Array.length procs in
-      let rec go pid =
-        if pid >= n then None
-        else
-          let s = procs.(pid).Proc.steps in
-          if s > bound then Some (pid, s) else go (pid + 1)
-      in
-      go 0
-    | V_machine m | V_flat (m, _) ->
-      let steps = m.Machine.steps in
-      let n = Array.length steps in
-      let rec go pid =
-        if pid >= n then None
-        else
-          let s = steps.(pid) in
-          if s > bound then Some (pid, s) else go (pid + 1)
-      in
-      go 0
+    | V_config c -> procs_over_bound c.procs bound 0
+    | V_machine m | V_flat (m, _) -> flat_over_bound m.Machine.steps bound 0
 
   let decision v pid =
     match v.impl with
@@ -1275,6 +1285,17 @@ module Config_view = struct
       if m.Machine.statuses.(pid) = Machine.st_decided then
         Some m.Machine.decided.(pid)
       else None
+
+  let decided v pid =
+    match v.impl with
+    | V_config c -> (
+      match c.procs.(pid).Proc.status with
+      | Proc.Decided x -> x
+      | _ -> invalid_arg "Config_view.decided: process has not decided")
+    | V_machine m | V_flat (m, _) ->
+      if m.Machine.statuses.(pid) = Machine.st_decided then
+        m.Machine.decided.(pid)
+      else invalid_arg "Config_view.decided: process has not decided"
 
   let decisions v =
     let acc = ref [] in
@@ -1304,39 +1325,79 @@ module Config_view = struct
       done;
       !acc
 
-  (* First-decider (lowest-pid) order.  Scans the backing arrays
-     directly — no intermediate [decision_values] list — because
-     agreement checkers call this on every terminal of a walk; [acc]
-     carries the distinct values seen so far in reverse, which stays
-     tiny (1 for any agreeing terminal), so the [exists] is effectively
-     constant and the final [rev] one cons in the common case. *)
+  let rec mem_value x = function
+    | [] -> false
+    | y :: ys -> Value.equal x y || mem_value x ys
+
+  (* First-decider (lowest-pid) order.  [acc] carries the distinct
+     values seen so far in reverse; it stays tiny (1 for any agreeing
+     terminal), so the membership test is effectively constant. *)
+  let rec procs_distinct (procs : Proc.t array) acc pid =
+    if pid >= Array.length procs then List.rev acc
+    else
+      match procs.(pid).Proc.status with
+      | Proc.Decided x when not (mem_value x acc) ->
+        procs_distinct procs (x :: acc) (pid + 1)
+      | _ -> procs_distinct procs acc (pid + 1)
+
+  let rec flat_distinct (st : int array) (d : Value.t array) acc pid =
+    if pid >= Array.length st then List.rev acc
+    else if st.(pid) = Machine.st_decided && not (mem_value d.(pid) acc) then
+      flat_distinct st d (d.(pid) :: acc) (pid + 1)
+    else flat_distinct st d acc (pid + 1)
+
   let distinct_decisions v =
     match v.impl with
-    | V_config c ->
-      let procs = c.procs in
-      let n = Array.length procs in
-      let rec go acc pid =
-        if pid >= n then List.rev acc
-        else
-          match procs.(pid).Proc.status with
-          | Proc.Decided x when not (List.exists (Value.equal x) acc) ->
-            go (x :: acc) (pid + 1)
-          | _ -> go acc (pid + 1)
-      in
-      go [] 0
+    | V_config c -> procs_distinct c.procs [] 0
     | V_machine m | V_flat (m, _) ->
-      let st = m.Machine.statuses in
-      let d = m.Machine.decided in
-      let n = Array.length st in
-      let rec go acc pid =
-        if pid >= n then List.rev acc
-        else if
-          st.(pid) = Machine.st_decided
-          && not (List.exists (Value.equal d.(pid)) acc)
-        then go (d.(pid) :: acc) (pid + 1)
-        else go acc (pid + 1)
-      in
-      go [] 0
+      flat_distinct m.Machine.statuses m.Machine.decided [] 0
+
+  (* [settle]'s answers besides a pid. *)
+  let nobody_decided = -1
+  let unsettled = -2
+
+  (* One pass of [settle]: [first] is the lowest decided pid so far
+     ([-1] if none) and [x] its decision; [over] whether any process so
+     far exceeded [bound].  Running and faulty processes cut the pass
+     short; step counts matter only once someone decided. *)
+  let rec procs_settle (procs : Proc.t array) (bound : int) pid (first : int)
+      x over =
+    if pid >= Array.length procs then
+      if first < 0 then nobody_decided else if over then unsettled else first
+    else
+      let p = procs.(pid) in
+      let over = over || p.Proc.steps > bound in
+      match p.Proc.status with
+      | Proc.Running | Proc.Faulty _ -> unsettled
+      | Proc.Crashed -> procs_settle procs bound (pid + 1) first x over
+      | Proc.Decided y ->
+        if first < 0 then procs_settle procs bound (pid + 1) pid y over
+        else if Value.equal y x then
+          procs_settle procs bound (pid + 1) first x over
+        else unsettled
+
+  let rec flat_settle (st : int array) (steps : int array) (d : Value.t array)
+      (bound : int) pid (first : int) x over =
+    if pid >= Array.length st then
+      if first < 0 then nobody_decided else if over then unsettled else first
+    else
+      let s = st.(pid) in
+      let over = over || steps.(pid) > bound in
+      if s = Machine.st_decided then
+        if first < 0 then flat_settle st steps d bound (pid + 1) pid d.(pid) over
+        else if Value.equal d.(pid) x then
+          flat_settle st steps d bound (pid + 1) first x over
+        else unsettled
+      else if s = Machine.st_crashed then
+        flat_settle st steps d bound (pid + 1) first x over
+      else unsettled
+
+  let settle v bound =
+    match v.impl with
+    | V_config c -> procs_settle c.procs bound 0 (-1) Value.Unit false
+    | V_machine m | V_flat (m, _) ->
+      flat_settle m.Machine.statuses m.Machine.steps m.Machine.decided bound 0
+        (-1) Value.Unit false
 
   let faults v =
     match v.impl with

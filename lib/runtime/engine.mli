@@ -369,10 +369,18 @@ end
       {!Config_view.steps}, {!Config_view.stepped},
       {!Config_view.decision}, {!Config_view.store_state},
       {!Config_view.mem_loc}.
-    - O(procs): {!Config_view.has_running}, {!Config_view.decisions},
-      {!Config_view.decision_values}, {!Config_view.distinct_decisions},
-      {!Config_view.faults}, {!Config_view.over_step_bound},
+    - O(procs): {!Config_view.has_running}, {!Config_view.settle},
+      {!Config_view.decisions}, {!Config_view.decision_values},
+      {!Config_view.distinct_decisions}, {!Config_view.faults},
+      {!Config_view.over_step_bound},
       {!Config_view.max_steps_per_proc}.
+    - Allocation-free on both backends: every O(1) accessor except
+      {!Config_view.decision} (an option) and
+      {!Config_view.store_state}; {!Config_view.decided},
+      {!Config_view.has_running}, {!Config_view.settle},
+      {!Config_view.max_steps_per_proc} and {!Config_view.reset}.  The
+      other O(procs) accessors allocate only their result ([Some],
+      list cells), nothing per scanned process.
     - O(locs): {!Config_view.state_bindings}.
     - O(events): {!Config_view.trace_length}, {!Config_view.events_of}.
     - Materializing (O(events + locs + procs), allocates):
@@ -389,8 +397,10 @@ end
     mark the view.
 
     A view borrows its backing state: an arena-backed view is valid
-    only until the machine's next [step]/[undo_to].  Explorer hooks
-    receive a fresh view per terminal and must not retain it. *)
+    only until the machine's next [step]/[undo_to].  The arena walkers
+    build one view per walk and {!Config_view.reset} it before each
+    terminal or truncation hook, so a hook's view is valid only during
+    that call: it must not retain it. *)
 module Config_view : sig
   type t
 
@@ -411,6 +421,11 @@ module Config_view : sig
       [replay] — typically the explorer replaying the walk's recorded
       move path from its root configuration — once, cached.  Same
       borrow discipline as {!of_machine}. *)
+
+  val reset : t -> unit
+  (** Forget the cached trace and configuration and clear the
+      {!order_accessed} mark, so the view can serve the backing state's
+      next leaf.  Allocation-free. *)
 
   val n_procs : t -> int
   val time : t -> int
@@ -437,6 +452,31 @@ module Config_view : sig
       [(pid, steps)]. *)
 
   val decision : t -> int -> Memory.Value.t option
+
+  val decided : t -> int -> Memory.Value.t
+  (** The decision of a process that has decided, without the option
+      {!decision} allocates.
+      @raise Invalid_argument if [pid] has not decided. *)
+
+  val settle : t -> int -> int
+  (** [settle v bound] settles a terminal in one allocation-free pass
+      over statuses, step counts and decisions.  It answers:
+      - the lowest decided pid, when no process is running or faulty,
+        every decision equals that pid's, and no process took more than
+        [bound] steps;
+      - {!nobody_decided} when no process is running or faulty and none
+        decided (step counts are then not consulted);
+      - {!unsettled} otherwise: some process running or faulty, two
+        decisions differ, or a decided run exceeded [bound].
+      An agreement checker can answer the common case from this alone
+      and build the lists ({!faults}, {!distinct_decisions},
+      {!over_step_bound}) only to word a violation. *)
+
+  val nobody_decided : int
+  (** [-1]. *)
+
+  val unsettled : int
+  (** [-2]. *)
 
   val decisions : t -> (int * Memory.Value.t) list
   (** [(pid, decision)] for every decided process, pid order — matches

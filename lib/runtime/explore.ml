@@ -548,14 +548,16 @@ let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
   let path = Array.make (opts.o_max_steps + Engine.Machine.n_procs m + 2) 0 in
   let mc_now = ref 0 in
   let decisions, replay = path_thunks ~config0 ~rpath0 path mc_now in
+  (* One view per walk, reset before each leaf's hooks and shared by
+     both of them, so the soundness guard sees exactly the accesses the
+     current leaf performed and a leaf allocates nothing. *)
+  let view = Engine.Config_view.of_machine_flat m ~replay in
   let on_terminal_mc mc =
     match (analyze, on_terminal) with
     | None, None -> ()
     | _ ->
       mc_now := mc;
-      (* One view per terminal, shared by both hooks, so the soundness
-         guard sees every access the leaf performed. *)
-      let view = Engine.Config_view.of_machine_flat m ~replay in
+      Engine.Config_view.reset view;
       (match analyze with None -> () | Some f -> f view decisions);
       (match on_terminal with None -> () | Some f -> f view decisions)
   in
@@ -564,7 +566,8 @@ let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
     | None -> ()
     | Some f ->
       mc_now := mc;
-      f (Engine.Config_view.of_machine_flat m ~replay) decisions
+      Engine.Config_view.reset view;
+      f view decisions
   in
   (* [~finally]: a hook may abort the walk ([check_all] raises
      [Stop_exploration] on the first violation); the counters walked so
@@ -672,6 +675,9 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
   in
   let mc_now = ref 0 in
   let decisions, replay = path_thunks ~config0 ~rpath0 path mc_now in
+  (* One leaf view per walk, reset before each hook, as in
+     [explore_arena_naive]. *)
+  let view = Engine.Config_view.of_machine_flat m ~replay in
   (* Sleep-set filter for the child of taken move [(q, q_crash)]: keep
      each candidate bit of [cand] that is independent of the move, with
      the static fast matrix consulted first — the same per-candidate
@@ -779,9 +785,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
         | None, None -> acc.a_terminals <- acc.a_terminals + 1
         | _ ->
           mc_now := mc;
-          (* One view per terminal, shared by both hooks, so the
-             soundness guard sees every access the leaf performed. *)
-          let view = Engine.Config_view.of_machine_flat m ~replay in
+          Engine.Config_view.reset view;
           (match analyze with None -> () | Some f -> f view decisions);
           acc.a_terminals <- acc.a_terminals + 1;
           (match on_terminal with None -> () | Some f -> f view decisions)
@@ -792,7 +796,8 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
         | None -> ()
         | Some f ->
           mc_now := mc;
-          f (Engine.Config_view.of_machine_flat m ~replay) decisions
+          Engine.Config_view.reset view;
+          f view decisions
       end
       else begin
         if running >= 2 || opts.o_crash_faults then

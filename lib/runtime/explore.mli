@@ -179,8 +179,10 @@ module Options : sig
             equivalence class reaches the hook. *)
     on_terminal : (Engine.Config_view.t -> unit) option;
         (** runs on every terminal view.  The view borrows the
-            executing machine's live state: read what you need inside
-            the callback; do not retain the view. *)
+            executing machine's live state, and the arena walks reuse
+            one view per walk ({!Engine.Config_view.reset} before each
+            leaf): read what you need inside the callback; do not
+            retain the view. *)
     on_truncated : (Engine.Config_view.t -> unit) option;
     on_lowering : (Program.Compiled.report array -> unit) option;
         (** [Arena] only: called once per DFS item (once total when

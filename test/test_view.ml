@@ -274,6 +274,231 @@ let test_guard_sees_analyze_hook () =
   | exception Explore.Unsound_predicate _ -> ()
   | _ -> Alcotest.fail "dedup + order-accessing analyze hook must raise"
 
+(* --- the single-pass terminal check --- *)
+
+(* [Election.check_config] as it was before [View.settle]: the list-based
+   checker, kept here as the reference oracle the fast path must match
+   verdict for verdict and message for message. *)
+let reference_check (t : Election.instance) view =
+  let faults = View.faults view in
+  let distinct = View.distinct_decisions view in
+  let over_bound = View.over_step_bound view t.Election.step_bound in
+  match (faults, View.has_running view, distinct, over_bound) with
+  | (pid, m) :: _, _, _, _ ->
+    Error (Printf.sprintf "process %d faulty: %s" pid m)
+  | [], true, _, _ ->
+    Error "some live process did not decide (run incomplete?)"
+  | [], false, [], _ -> Ok ()
+  | [], false, _ :: _ :: _, _ ->
+    Error
+      (Fmt.str "agreement violated: decisions %a"
+         Fmt.(list ~sep:(any ", ") Value.pp)
+         (List.sort Value.compare distinct))
+  | [], false, [ _ ], Some (pid, steps) ->
+    Error
+      (Printf.sprintf
+         "wait-freedom bound exceeded: process %d took %d > %d steps" pid
+         steps t.Election.step_bound)
+  | [], false, [ leader ], None ->
+    let pid = match leader with Value.Int i -> i | _ -> -1 in
+    if pid < 0 || pid >= t.Election.n then
+      Error (Fmt.str "elected identity %a is not a process id" Value.pp leader)
+    else if not (View.stepped view pid) then
+      Error
+        (Printf.sprintf "validity violated: leader %d never took a step" pid)
+    else Ok ()
+
+let verdict : (unit, string) result Alcotest.testable =
+  Alcotest.(result unit string)
+
+let check_matches_reference ~msg t view =
+  Alcotest.check verdict msg (reference_check t view)
+    (Election.check_config t view)
+
+let broken_cas_instance =
+  let fx = Lepower_check.Lint.broken_cas_fixture () in
+  {
+    Election.name = fx.Lepower_check.Lint.name;
+    n = List.length fx.Lepower_check.Lint.programs;
+    bindings = fx.Lepower_check.Lint.bindings;
+    program = List.nth fx.Lepower_check.Lint.programs;
+    step_bound = fx.Lepower_check.Lint.budget;
+  }
+
+let test_check_config_matches_reference () =
+  List.iter
+    (fun (name, inst, crash_faults, max_steps) ->
+      List.iter
+        (fun backend ->
+          let terminals = ref 0 and errors = ref 0 in
+          let on_terminal view =
+            incr terminals;
+            if Result.is_error (reference_check inst view) then incr errors;
+            check_matches_reference
+              ~msg:(Printf.sprintf "%s %s terminal %d" name
+                      (Engine.backend_name backend) !terminals)
+              inst view
+          in
+          ignore
+            (Explore.explore
+               ~options:
+                 {
+                   Explore.Options.default with
+                   crash_faults;
+                   max_steps;
+                   backend;
+                   on_terminal = Some on_terminal;
+                 }
+               (Election.config inst));
+          Alcotest.(check bool) (name ^ ": walked some terminals") true
+            (!terminals > 0);
+          if name = "broken-cas" then
+            Alcotest.(check bool) (name ^ ": hit violations") true
+              (!errors > 0))
+        [ Engine.Persistent; Engine.Arena ])
+    [
+      ("cas", cas_instance, true, 60);
+      ("bcl", Protocols.Bcl_election.instance ~k:3 ~n:2, true, 60);
+      (* The naive walks of two-process perm- and multi-election run to
+         millions of leaves before any process decides, so these two
+         walk one process, every crash placement included. *)
+      ("perm", Protocols.Permutation_election.instance ~k:3 ~n:1, true, 60);
+      ("multi", Protocols.Multi_election.instance ~ks:[ 3; 2 ] ~n:1, true, 60);
+      ("broken-cas", broken_cas_instance, true, 60);
+    ]
+
+(* Hand-built terminal states, one per branch of the checker, each read
+   through a persistent and a machine-backed view. *)
+let test_check_config_branches () =
+  let t = cas_instance in
+  let base = Election.config t in
+  let with_procs procs =
+    {
+      base with
+      Engine.procs =
+        Array.mapi
+          (fun pid (steps, status) ->
+            { (base.Engine.procs.(pid)) with Runtime.Proc.steps; status })
+          (Array.of_list procs);
+    }
+  in
+  let d i = Runtime.Proc.Decided (Value.Int i) in
+  let over = t.Election.step_bound + 1 in
+  let cases =
+    [
+      ( "faulty",
+        [ (1, d 0); (1, Runtime.Proc.Faulty "boom"); (1, d 0) ],
+        Error "process 1 faulty: boom" );
+      ( "still running",
+        [ (1, d 0); (1, d 0); (0, Runtime.Proc.Running) ],
+        Error "some live process did not decide (run incomplete?)" );
+      ( "nobody decided",
+        [
+          (over, Runtime.Proc.Crashed);
+          (0, Runtime.Proc.Crashed);
+          (1, Runtime.Proc.Crashed);
+        ],
+        Ok () );
+      ( "agreement violated",
+        [ (1, d 1); (1, d 0); (0, Runtime.Proc.Crashed) ],
+        Error "agreement violated: decisions 0, 1" );
+      ( "step bound exceeded",
+        [ (1, d 0); (over, d 0); (1, Runtime.Proc.Crashed) ],
+        Error
+          (Printf.sprintf
+             "wait-freedom bound exceeded: process 1 took %d > %d steps" over
+             t.Election.step_bound) );
+      ( "leader not a pid",
+        [ (1, d 7); (1, d 7); (1, d 7) ],
+        Error "elected identity 7 is not a process id" );
+      ( "leader not an int",
+        [
+          (1, Runtime.Proc.Decided (Value.sym "x"));
+          (1, Runtime.Proc.Crashed);
+          (0, Runtime.Proc.Crashed);
+        ],
+        Error "elected identity :x is not a process id" );
+      ( "leader never stepped",
+        [ (1, d 2); (1, d 2); (0, Runtime.Proc.Crashed) ],
+        Error "validity violated: leader 2 never took a step" );
+      ("satisfied", [ (0, Runtime.Proc.Crashed); (1, d 1); (1, d 1) ], Ok ());
+    ]
+  in
+  List.iter
+    (fun (name, procs, expected) ->
+      let c = with_procs procs in
+      List.iter
+        (fun (backend, view) ->
+          let msg = name ^ " (" ^ backend ^ ")" in
+          Alcotest.check verdict msg expected (Election.check_config t view);
+          check_matches_reference ~msg:(msg ^ " vs reference") t view)
+        [
+          ("persistent", View.of_config c);
+          ("machine", View.of_machine (Machine.of_config c));
+        ])
+    cases
+
+(* The arena walks hand every leaf the same view, reset in between: at
+   each hook it must be unmarked and must materialize the current leaf,
+   not a trace or configuration cached at an earlier one. *)
+let test_reused_view_is_fresh () =
+  let config = Election.config cas_instance in
+  List.iter
+    (fun (mode, dedup, por) ->
+      List.iter
+        (fun max_steps ->
+          let leaves backend =
+            let acc = ref [] in
+            let leaf view =
+              let fresh = not (View.order_accessed view) in
+              let trace = View.trace view in
+              acc :=
+                (fresh, trace, Fingerprint.digest (View.config view)) :: !acc
+            in
+            ignore
+              (Explore.explore
+                 ~options:
+                   {
+                     (opts ~dedup ~por backend) with
+                     max_steps;
+                     on_terminal = Some leaf;
+                     on_truncated = Some leaf;
+                   }
+                 config);
+            List.rev !acc
+          in
+          let msg = Printf.sprintf "%s max_steps %d" mode max_steps in
+          let arena = leaves Engine.Arena in
+          Alcotest.(check bool) (msg ^ ": unmarked at every leaf") true
+            (List.for_all (fun (fresh, _, _) -> fresh) arena);
+          Alcotest.(check bool)
+            (msg ^ ": every leaf's trace and config match the persistent walk")
+            true
+            (arena = leaves Engine.Persistent))
+        [ 3; 60 ])
+    modes
+
+(* The checked arena walk allocates nothing per configuration: a closure
+   or boxed value re-introduced into any per-leaf accessor, the
+   predicate or the walker's hooks shows up here as whole words per
+   configuration. *)
+let test_checked_walk_allocation () =
+  let t = Protocols.Cas_election.instance ~k:8 ~n:7 in
+  let options =
+    { Explore.Options.default with crash_faults = true; backend = Engine.Arena }
+  in
+  let before = Gc.minor_words () in
+  let stats =
+    match Election.explore_stats ~options t ~max_steps:10_000 with
+    | Ok stats -> stats
+    | Error m -> Alcotest.fail m
+  in
+  let words = Gc.minor_words () -. before in
+  let per_config = words /. float_of_int stats.Explore.configs_visited in
+  if per_config >= 0.05 then
+    Alcotest.failf "%.0f minor words for %d configurations (%.3f each)" words
+      stats.Explore.configs_visited per_config
+
 let () =
   Alcotest.run "view"
     [
@@ -287,6 +512,17 @@ let () =
           Alcotest.test_case "check_all verdicts" `Quick
             test_check_all_digests;
           Alcotest.test_case "decision sets" `Quick test_decision_set_digests;
+        ] );
+      ( "terminal-check",
+        [
+          Alcotest.test_case "matches the list-based reference" `Quick
+            test_check_config_matches_reference;
+          Alcotest.test_case "every verdict branch" `Quick
+            test_check_config_branches;
+          Alcotest.test_case "checked arena walk allocation-free" `Quick
+            test_checked_walk_allocation;
+          Alcotest.test_case "reused leaf view is fresh" `Quick
+            test_reused_view_is_fresh;
         ] );
       ( "soundness-guard",
         [
