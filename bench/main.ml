@@ -1363,13 +1363,14 @@ let e16_static ~smoke () =
 (* fingerprints) against the persistent reference engine, with the     *)
 (* cross-backend agreement checks that make the speedup trustworthy:   *)
 (* identical verdicts and full statistics per mode, byte-identical     *)
-(* decision sets, identical fault-fuzz certificates, and bit-for-bit   *)
-(* cross-backend certificate replay.  E18 adds the reduced modes: the  *)
-(* dedup / por / dedup+por rows now dispatch to the journal-free       *)
-(* bitset walk on the machine, timed with the same best-of-3           *)
-(* methodology as the naive legs.  Gates (exit 1): any agreement       *)
-(* failure; a checked naive-walk speedup below 1x (smoke) / 2x (full); *)
-(* in full mode additionally a plain naive-walk speedup below 5x and a *)
+(* decision sets, a fault-fuzz certificate pinned to the persistent    *)
+(* engine's, and bit-for-bit cross-backend certificate replay.  E18    *)
+(* adds the reduced modes: the dedup / por / dedup+por rows dispatch   *)
+(* to the journal-free bitset walk on the machine, timed best-of-3     *)
+(* like the naive legs (in smoke mode each sample repeats the walk to  *)
+(* span at least 10 ms).  Gates (exit 1): any agreement failure; a     *)
+(* checked naive-walk speedup below 1x (smoke) / 2x (full); in full    *)
+(* mode additionally a plain naive-walk speedup below 5x and a         *)
 (* dedup+por speedup below 1.5x (E18's acceptance bar — smoke           *)
 (* workloads finish in a fraction of a millisecond, far inside timer   *)
 (* noise, so smoke only gates the reduced rows at parity, 0.8x).       *)
@@ -1522,34 +1523,39 @@ let e17_store ~smoke () =
      reference explore_seq.  Stats are kept so the byte-identity of the
      reduced search trees is re-asserted on the timed full workload, not
      only on the mode-grid rows above. *)
-  let time_reduced ~dedup ~por backend =
-    let best = ref infinity and stats = ref None in
+  let time_reduced ~dedup ~por =
+    let best = Array.make 2 infinity and stats = Array.make 2 None in
+    (* A smoke walk takes a millisecond or less, where one timer tick,
+       scheduler hiccup or GC slice moves the ratio past the gate: in smoke mode a sample repeats the walk until it spans at
+       least 10 ms, and the fastest walk counts.  The backends' samples
+       alternate, so a stretch of load on the host hits both. *)
     for _ = 1 to 3 do
-      let r, secs =
-        wall (fun () ->
-            Protocols.Election.explore_stats instance ~max_steps:10_000
-              ~options:(opts ~dedup ~por backend))
-      in
-      (match r with
-      | Ok s -> stats := Some s
-      | Error e ->
-        Printf.eprintf "E18: reduced timing leg violated: %s\n" e;
-        exit 1);
-      if secs < !best then best := secs
+      List.iteri
+        (fun i backend ->
+          let elapsed = ref 0. in
+          while !elapsed = 0. || (smoke && !elapsed < 0.010) do
+            let r, secs =
+              wall (fun () ->
+                  Protocols.Election.explore_stats instance ~max_steps:10_000
+                    ~options:(opts ~dedup ~por backend))
+            in
+            (match r with
+            | Ok s -> stats.(i) <- Some s
+            | Error e ->
+              Printf.eprintf "E18: reduced timing leg violated: %s\n" e;
+              exit 1);
+            elapsed := !elapsed +. secs;
+            if secs < best.(i) then best.(i) <- secs
+          done)
+        e17_backends
     done;
-    (!best, !stats)
+    ((best.(0), stats.(0)), (best.(1), stats.(1)))
   in
-  let dedup_p, dedup_stats_p =
-    time_reduced ~dedup:true ~por:false Runtime.Engine.Persistent
+  let (dedup_p, dedup_stats_p), (dedup_a, dedup_stats_a) =
+    time_reduced ~dedup:true ~por:false
   in
-  let dedup_a, dedup_stats_a =
-    time_reduced ~dedup:true ~por:false Runtime.Engine.Arena
-  in
-  let red_p, red_stats_p =
-    time_reduced ~dedup:true ~por:true Runtime.Engine.Persistent
-  in
-  let red_a, red_stats_a =
-    time_reduced ~dedup:true ~por:true Runtime.Engine.Arena
+  let (red_p, red_stats_p), (red_a, red_stats_a) =
+    time_reduced ~dedup:true ~por:true
   in
   if metrics_were_on then Lepower_obs.Metrics.enable ();
   let plain_rows =
@@ -1602,18 +1608,28 @@ let e17_store ~smoke () =
         sets Runtime.Engine.Persistent = sets Runtime.Engine.Arena)
       e17_modes
   in
-  (* Agreement 3: a fault-injecting fuzz campaign must produce the
-     identical certificate on either backend, and each certificate must
-     replay bit-for-bit on both. *)
-  let fuzz_outcome backend =
-    Protocols.Election.fuzz ~runs:256 ~seed:1 ~plan:Runtime.Faults.default
-      ~kind:Runtime.Fuzz.Random_walk ~shrink:false ~backend small
+  (* Agreement 3: a fault-injecting fuzz campaign (which runs on the
+     machine) must produce the certificate the persistent engine
+     produces for these seeds — pinned as the MD5 of its JSON with the
+     informational [version] blanked, as in test_store — and the
+     certificate must replay bit-for-bit on both backends. *)
+  let cert =
+    (Protocols.Election.fuzz ~runs:256 ~seed:1 ~plan:Runtime.Faults.default
+       ~kind:Runtime.Fuzz.Random_walk ~shrink:false small)
+      .Runtime.Fuzz.cert
   in
-  let cert_p = (fuzz_outcome Runtime.Engine.Persistent).Runtime.Fuzz.cert in
-  let cert_a = (fuzz_outcome Runtime.Engine.Arena).Runtime.Fuzz.cert in
-  let certs_identical = cert_p <> None && cert_p = cert_a in
+  let cert_pinned =
+    match cert with
+    | None -> false
+    | Some c ->
+      Digest.to_hex
+        (Digest.string
+           (Json.to_string
+              (Runtime.Repro.to_json { c with Runtime.Repro.version = "" })))
+      = "f79cfaa776ecf8cb7a6a90fe37a5a19e"
+  in
   let replays_ok =
-    match cert_p with
+    match cert with
     | None -> false
     | Some cert ->
       List.for_all
@@ -1637,11 +1653,11 @@ let e17_store ~smoke () =
   let cost_ratio_por = if red_p > 0. then red_a /. red_p else 1. in
   Printf.printf
     "\nstats identical per mode: %s (plain walk: %s, checked walk: %s, \
-     dedup walk: %s, dedup+por walk: %s), decision sets: %s, fuzz certs: \
-     %s, cross-replay: %s\n"
+     dedup walk: %s, dedup+por walk: %s), decision sets: %s, fuzz cert \
+     pinned: %s, cross-replay: %s\n"
     (ok_or stats_identical) (ok_or plain_identical) (ok_or checked_identical)
     (ok_or dedup_identical) (ok_or reduced_identical)
-    (ok_or decisions_identical) (ok_or certs_identical) (ok_or replays_ok);
+    (ok_or decisions_identical) (ok_or cert_pinned) (ok_or replays_ok);
   Printf.printf "plain naive-walk speedup (persistent/arena): %.2fx\n" speedup;
   Printf.printf "checked naive-walk speedup (persistent/arena): %.2fx\n"
     speedup_checked;
@@ -1681,7 +1697,7 @@ let e17_store ~smoke () =
                 Json.Int (Bool.to_int reduced_identical) );
               ( "decision_sets_identical",
                 Json.Int (Bool.to_int decisions_identical) );
-              ("fuzz_certs_identical", Json.Int (Bool.to_int certs_identical));
+              ("fuzz_cert_pinned", Json.Int (Bool.to_int cert_pinned));
               ("cross_replay_ok", Json.Int (Bool.to_int replays_ok));
             ] );
         ( "lowering",
@@ -1711,7 +1727,7 @@ let e17_store ~smoke () =
   Printf.printf "store JSON: %s\n" path;
   if not (stats_identical && plain_identical && checked_identical
           && dedup_identical && reduced_identical
-          && decisions_identical && certs_identical && replays_ok)
+          && decisions_identical && cert_pinned && replays_ok)
   then begin
     prerr_endline "E17: cross-backend agreement check FAILED";
     exit 1
@@ -1734,10 +1750,10 @@ let e17_store ~smoke () =
     exit 1
   end;
   (* The E18 gate: the journal-free reduced walk must beat the
-     persistent reference with both reductions on.  Smoke legs finish in
-     well under a millisecond — deep inside timer noise — so smoke only
-     pins parity (0.8x, i.e. "not slower"); the full cas k=8 n=7 crash
-     workload carries the real 1.5x acceptance bar. *)
+     persistent reference with both reductions on.  A smoke walk
+     finishes in a millisecond or less, so even from 10 ms samples
+     smoke only pins parity (0.8x, i.e. "not slower"); the full cas
+     k=8 n=7 crash workload carries the real 1.5x acceptance bar. *)
   let reduced_gate = if smoke then 0.8 else 1.5 in
   if speedup_por < reduced_gate then begin
     Printf.eprintf

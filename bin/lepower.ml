@@ -275,7 +275,7 @@ let elect_cmd =
 
 (* --- explore --- *)
 
-(* Shared by explore, fuzz and replay: which executor runs the schedules.
+(* Shared by explore and replay: which executor runs the schedules.
    [arena] is the hot path (compiled step programs + mutable arena store);
    verdicts, statistics, decision sets and certificates are identical to
    [persistent] — see Runtime.Engine.Machine. *)
@@ -911,7 +911,7 @@ let fuzz_hb_fields hb (p : Runtime.Fuzz.progress) =
   ]
 
 let fuzz k n subject flip sched depth starve_pid starve_steps runs seed faults
-    max_steps backend repro_out no_shrink metrics_out prof progress
+    max_steps repro_out no_shrink metrics_out prof progress
     progress_out interval folded_out =
   let open Lepower_check in
   with_telemetry ~prof ~progress ~progress_out ~interval ~folded_out
@@ -949,21 +949,21 @@ let fuzz k n subject flip sched depth starve_pid starve_steps runs seed faults
       in
       ( instance.Protocols.Election.name,
         Protocols.Election.fuzz ~runs ~seed ?max_steps ~plan ~kind ~shrink
-          ~subject:subject_json ~backend ?progress:progress_cb instance )
+          ~subject:subject_json ?progress:progress_cb instance )
     | `Broken_swmr ->
       let t = Lint.broken_swmr_fixture ~flip () in
       ( t.Lint.name,
-        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink ~backend
+        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink
           ?progress:progress_cb t )
     | `Broken_cas ->
       let t = Lint.broken_cas_fixture ?n ~flip () in
       ( t.Lint.name,
-        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink ~backend
+        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink
           ?progress:progress_cb t )
     | `Spin ->
       let t = Lint.spin_fixture () in
       ( t.Lint.name,
-        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink ~backend
+        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink
           ?progress:progress_cb t )
   in
   Option.iter
@@ -978,10 +978,9 @@ let fuzz k n subject flip sched depth starve_pid starve_steps runs seed faults
             }))
     hb;
   Printf.printf "subject:  %s\n" name;
-  Printf.printf "sched:    %s  seed=%d  faults=%s  backend=%s\n"
+  Printf.printf "sched:    %s  seed=%d  faults=%s\n"
     (Runtime.Fuzz.kind_name kind) seed
-    (if faults then "on" else "off")
-    (Runtime.Engine.backend_name backend);
+    (if faults then "on" else "off");
   Printf.printf "runs:     %d (budget %d)  decisions=%d  injected=%d\n"
     outcome.Runtime.Fuzz.runs runs outcome.Runtime.Fuzz.steps
     outcome.Runtime.Fuzz.injected;
@@ -1023,14 +1022,16 @@ let fuzz_cmd =
           and optional fault injection (crashes, lost writes, stuck-at \
           registers).  Deterministic: a violation is emitted as a \
           replayable schedule certificate with the injected faults in its \
-          decision log.  Exit 1 when a violation is found.")
+          decision log.  Runs execute on the arena machine; the \
+          certificate's digests come from the persistent reference \
+          engine, which 'lepower replay' checks them against.  Exit 1 \
+          when a violation is found.")
     Term.(
       const fuzz $ k_arg $ elect_n $ fuzz_subject $ fuzz_flip $ fuzz_sched
       $ fuzz_depth $ fuzz_starve_pid $ fuzz_starve_steps $ fuzz_runs
-      $ seed_arg $ fuzz_faults $ fuzz_max_steps $ backend_arg
-      $ fuzz_repro_out $ fuzz_no_shrink $ metrics_out_arg $ prof_arg
-      $ progress_arg $ progress_out_arg $ progress_interval_arg
-      $ folded_out_arg)
+      $ seed_arg $ fuzz_faults $ fuzz_max_steps $ fuzz_repro_out
+      $ fuzz_no_shrink $ metrics_out_arg $ prof_arg $ progress_arg
+      $ progress_out_arg $ progress_interval_arg $ folded_out_arg)
 
 (* --- replay --- *)
 

@@ -1111,55 +1111,17 @@ module Machine = struct
     }
 
   let reports m = Array.map Program.Compiled.report m.progs
-
-  let run ?(max_steps = 1_000_000) ~sched m =
-    let rec go () =
-      if m.time >= max_steps then outcome_of ~hit_step_limit:true (config m)
-      else
-        match enabled m with
-        | [] -> outcome_of ~hit_step_limit:false (config m)
-        | pids ->
-          let pid =
-            let tok = Lepower_prof.Phase.enter ph_choose in
-            let pid = sched.Sched.choose ~time:m.time ~enabled:pids in
-            Lepower_prof.Phase.leave tok;
-            pid
-          in
-          if not (List.mem pid pids) then
-            outcome_of ~hit_step_limit:false (config m)
-          else begin
-            sched.Sched.observe ~time:m.time ~pid;
-            step m pid;
-            go ()
-          end
-    in
-    Obs.Metrics.incr m_runs;
-    Obs.Span.with_span "engine.run"
-      ~args:
-        [
-          ("procs", Obs.Json.Int (n_procs m));
-          ("sched", Obs.Json.String sched.Sched.name);
-        ]
-      (fun () ->
-        let outcome = go () in
-        if Obs.Metrics.is_enabled () then
-          Array.iter
-            (fun (p : Proc.t) ->
-              Obs.Metrics.observe h_steps_per_proc (Float.of_int p.Proc.steps))
-            outcome.final.procs;
-        outcome)
 end
 
 module Config_view = struct
   type impl =
     | V_config of config
-    | V_machine of Machine.t
     | V_flat of Machine.t * (unit -> config)
-        (* live machine driven by [Machine.walk_naive_checked]: flat
-           accessors read the machine arrays directly, but the journal
-           does not cover memo-hit steps, so anything trace-shaped must
-           come from the replay thunk (the explorer replays the recorded
-           move path from the walk's root configuration) *)
+        (* live machine: flat accessors read the machine arrays
+           directly; anything trace-shaped comes from the replay thunk,
+           because a walk's journal does not cover memo-hit steps (the
+           explorer replays the recorded move path from the walk's root
+           configuration; a journaled machine materializes itself) *)
 
   type t = {
     impl : impl;
@@ -1174,40 +1136,38 @@ module Config_view = struct
     { impl = V_config c; ordered = false; cached_trace = None;
       cached_config = Some c }
 
-  let of_machine m =
-    { impl = V_machine m; ordered = false; cached_trace = None;
-      cached_config = None }
-
   let of_machine_flat m ~replay =
     { impl = V_flat (m, replay); ordered = false; cached_trace = None;
       cached_config = None }
 
+  let of_machine m = of_machine_flat m ~replay:(fun () -> Machine.config m)
+
   let n_procs v =
     match v.impl with
     | V_config c -> Array.length c.procs
-    | V_machine m | V_flat (m, _) -> Machine.n_procs m
+    | V_flat (m, _) -> Machine.n_procs m
 
   let time v =
     match v.impl with
     | V_config c -> c.time
-    | V_machine m | V_flat (m, _) -> Machine.time m
+    | V_flat (m, _) -> Machine.time m
 
   let status v pid =
     match v.impl with
     | V_config c -> c.procs.(pid).Proc.status
-    | V_machine m | V_flat (m, _) -> Machine.status m pid
+    | V_flat (m, _) -> Machine.status m pid
 
   let is_running v pid =
     match v.impl with
     | V_config c -> Proc.is_running c.procs.(pid)
-    | V_machine m | V_flat (m, _) -> Machine.is_running m pid
+    | V_flat (m, _) -> Machine.is_running m pid
 
   let reset v =
     v.ordered <- false;
     v.cached_trace <- None;
     match v.impl with
     | V_config _ -> () (* [cached_config] is the config itself *)
-    | V_machine _ | V_flat _ -> v.cached_config <- None
+    | V_flat _ -> v.cached_config <- None
 
   (* The per-pid accessors below are specialized per implementation
      rather than layered on [status]: checkers run them on every
@@ -1236,12 +1196,12 @@ module Config_view = struct
   let has_running v =
     match v.impl with
     | V_config c -> procs_any_running c.procs 0
-    | V_machine m | V_flat (m, _) -> flat_any_running m.Machine.statuses 0
+    | V_flat (m, _) -> flat_any_running m.Machine.statuses 0
 
   let steps v pid =
     match v.impl with
     | V_config c -> c.procs.(pid).Proc.steps
-    | V_machine m | V_flat (m, _) -> m.Machine.steps.(pid)
+    | V_flat (m, _) -> m.Machine.steps.(pid)
 
   (* [steps pid > 0] iff pid has a trace event: both backends record an
      event exactly when they increment [steps] (decide steps and
@@ -1273,7 +1233,7 @@ module Config_view = struct
   let over_step_bound v bound =
     match v.impl with
     | V_config c -> procs_over_bound c.procs bound 0
-    | V_machine m | V_flat (m, _) -> flat_over_bound m.Machine.steps bound 0
+    | V_flat (m, _) -> flat_over_bound m.Machine.steps bound 0
 
   let decision v pid =
     match v.impl with
@@ -1281,7 +1241,7 @@ module Config_view = struct
       match c.procs.(pid).Proc.status with
       | Proc.Decided x -> Some x
       | _ -> None)
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       if m.Machine.statuses.(pid) = Machine.st_decided then
         Some m.Machine.decided.(pid)
       else None
@@ -1292,7 +1252,7 @@ module Config_view = struct
       match c.procs.(pid).Proc.status with
       | Proc.Decided x -> x
       | _ -> invalid_arg "Config_view.decided: process has not decided")
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       if m.Machine.statuses.(pid) = Machine.st_decided then
         m.Machine.decided.(pid)
       else invalid_arg "Config_view.decided: process has not decided"
@@ -1316,7 +1276,7 @@ module Config_view = struct
         | _ -> ()
       done;
       !acc
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       let st = m.Machine.statuses in
       let acc = ref [] in
       for pid = Array.length st - 1 downto 0 do
@@ -1349,7 +1309,7 @@ module Config_view = struct
   let distinct_decisions v =
     match v.impl with
     | V_config c -> procs_distinct c.procs [] 0
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       flat_distinct m.Machine.statuses m.Machine.decided [] 0
 
   (* [settle]'s answers besides a pid. *)
@@ -1395,7 +1355,7 @@ module Config_view = struct
   let settle v bound =
     match v.impl with
     | V_config c -> procs_settle c.procs bound 0 (-1) Value.Unit false
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       flat_settle m.Machine.statuses m.Machine.steps m.Machine.decided bound 0
         (-1) Value.Unit false
 
@@ -1409,7 +1369,7 @@ module Config_view = struct
         | _ -> ()
       done;
       !acc
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       let st = m.Machine.statuses in
       let acc = ref [] in
       for pid = Array.length st - 1 downto 0 do
@@ -1421,23 +1381,22 @@ module Config_view = struct
   let store_state v loc =
     match v.impl with
     | V_config c -> Memory.Store.peek c.store loc
-    | V_machine m | V_flat (m, _) -> Memory.Store.Arena.peek m.Machine.arena loc
+    | V_flat (m, _) -> Memory.Store.Arena.peek m.Machine.arena loc
 
   let mem_loc v loc =
     match v.impl with
     | V_config c -> Memory.Store.peek c.store loc <> None
-    | V_machine m | V_flat (m, _) -> Machine.mem_loc m loc
+    | V_flat (m, _) -> Machine.mem_loc m loc
 
   let state_bindings v =
     match v.impl with
     | V_config c -> Memory.Store.state_bindings c.store
-    | V_machine m | V_flat (m, _) -> Machine.state_bindings m
+    | V_flat (m, _) -> Machine.state_bindings m
 
-  (* Materialize the persistent configuration behind this view without
-     marking an order access: the order-free projections of a flat view
-     ([trace_length], [events_of]) need the replayed trace — the live
-     machine's journal misses memo-hit steps — but exposing them must
-     not trip the soundness guard. *)
+  (* The persistent configuration behind this view, without marking an
+     order access: the order-free projections ([trace_length],
+     [events_of]) need the trace — on a machine view, the replayed one —
+     but exposing them must not trip the soundness guard. *)
   let materialize v =
     match v.cached_config with
     | Some c -> c
@@ -1445,62 +1404,22 @@ module Config_view = struct
       let c =
         match v.impl with
         | V_config c -> c
-        | V_machine m -> Machine.config m
         | V_flat (_, replay) -> replay ()
       in
       v.cached_config <- Some c;
       c
 
-  let trace_length v =
-    match v.impl with
-    | V_config c -> List.length c.trace
-    | V_flat _ -> List.length (materialize v).trace
-    | V_machine m ->
-      let n = ref (List.length m.Machine.base_trace) in
-      for i = 0 to m.Machine.jlen - 1 do
-        match m.Machine.journal.(i) with
-        | Machine.J_event _ -> incr n
-        | Machine.J_status _ -> ()
-      done;
-      !n
+  let trace_length v = List.length (materialize v).trace
 
   let events_of v pid =
     (* Per-pid projection, chronological.  Deliberately does {e not}
        set [ordered]: a single process's own operations keep their
        relative order under any commutation of independent steps, so
        projections stay sound under dedup/POR. *)
-    match v.impl with
-    | V_config c ->
-      List.rev
-        (List.filter (fun (e : Trace.event) -> e.Trace.pid = pid) c.trace)
-    | V_flat _ ->
-      List.rev
-        (List.filter
-           (fun (e : Trace.event) -> e.Trace.pid = pid)
-           (materialize v).trace)
-    | V_machine m ->
-      let base =
-        List.rev
-          (List.filter
-             (fun (e : Trace.event) -> e.Trace.pid = pid)
-             m.Machine.base_trace)
-      in
-      let acc = ref [] in
-      for i = m.Machine.jlen - 1 downto 0 do
-        match m.Machine.journal.(i) with
-        | Machine.J_event e when e.pid = pid ->
-          acc :=
-            {
-              Trace.time = e.time;
-              pid = e.pid;
-              loc = e.loc;
-              op = e.op;
-              result = e.result;
-            }
-            :: !acc
-        | _ -> ()
-      done;
-      base @ !acc
+    List.rev
+      (List.filter
+         (fun (e : Trace.event) -> e.Trace.pid = pid)
+         (materialize v).trace)
 
   let order_accessed v = v.ordered
 
@@ -1509,55 +1428,13 @@ module Config_view = struct
     match v.cached_trace with
     | Some t -> t
     | None ->
-      let t =
-        match v.impl with
-        | V_config c -> List.rev c.trace
-        | V_flat _ -> List.rev (materialize v).trace
-        | V_machine m ->
-          let rev = ref m.Machine.base_trace in
-          for i = 0 to m.Machine.jlen - 1 do
-            match m.Machine.journal.(i) with
-            | Machine.J_event e ->
-              rev :=
-                {
-                  Trace.time = e.time;
-                  pid = e.pid;
-                  loc = e.loc;
-                  op = e.op;
-                  result = e.result;
-                }
-                :: !rev
-            | Machine.J_status _ -> ()
-          done;
-          List.rev !rev
-      in
+      let t = List.rev (materialize v).trace in
       v.cached_trace <- Some t;
       t
 
   let last_event v =
     v.ordered <- true;
-    match v.impl with
-    | V_config c -> (match c.trace with e :: _ -> Some e | [] -> None)
-    | V_flat _ -> (
-      match (materialize v).trace with e :: _ -> Some e | [] -> None)
-    | V_machine m ->
-      let rec scan i =
-        if i < 0 then
-          match m.Machine.base_trace with e :: _ -> Some e | [] -> None
-        else
-          match m.Machine.journal.(i) with
-          | Machine.J_event e ->
-            Some
-              {
-                Trace.time = e.time;
-                pid = e.pid;
-                loc = e.loc;
-                op = e.op;
-                result = e.result;
-              }
-          | Machine.J_status _ -> scan (i - 1)
-      in
-      scan (m.Machine.jlen - 1)
+    match (materialize v).trace with e :: _ -> Some e | [] -> None
 
   let config v =
     v.ordered <- true;

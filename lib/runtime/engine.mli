@@ -20,8 +20,10 @@ type config = {
     pure functions over {!config}.  [Arena] is the hot path: a
     {!Machine} over a mutable {!Memory.Store.Arena} with compiled
     programs and an undo journal.  The two are step-for-step
-    equivalent; [Explore]/[Fuzz]/[Repro] take a backend option and
-    guarantee identical verdicts, decision sets, and replay digests. *)
+    equivalent; [Explore] and [Repro] take a backend option and
+    guarantee identical verdicts, decision sets, and replay digests.
+    [Fuzz] runs on the machine only, and its certificates are checked
+    by persistent replay. *)
 type backend = Persistent | Arena
 
 val backend_name : backend -> string
@@ -343,11 +345,6 @@ module Machine : sig
       (store, procs with [prim] programs, clock, full reverse-chron
       trace).  O(locs + procs + events since [of_config]). *)
 
-  val run : ?max_steps:int -> sched:Sched.t -> t -> outcome
-  (** Drive the machine like the persistent {!Engine.run} — same
-      scheduler protocol, halt rules, span, and metrics — returning the
-      same outcome the persistent engine would. *)
-
   val reports : t -> Program.Compiled.report array
   (** Per-process lowering reports (indexed by pid). *)
 end
@@ -355,12 +352,17 @@ end
 (** Backend-neutral read-only view of a terminal (or intermediate)
     configuration — the one type every checker-facing hook takes.
 
-    A view over a persistent {!config} just reads the record.  A view
-    over an arena {!Machine} serves every accessor below straight from
-    the machine's flat arrays and arena store — {b no} journal walk, no
-    store rebuild — except the explicitly materializing ones
+    It has two implementations.  A view over a persistent {!config}
+    just reads the record.  A view over an arena {!Machine} serves every
+    accessor below straight from the machine's flat arrays and arena
+    store — no store rebuild — except the trace-shaped ones
     ({!Config_view.trace}, {!Config_view.last_event},
-    {!Config_view.config}), which are the slow fallback.
+    {!Config_view.config}, {!Config_view.trace_length},
+    {!Config_view.events_of}), which materialize a persistent
+    configuration through the view's replay function: the slow
+    fallback, once per view, cached.  A machine stepped by a walk has
+    no journal entry for its memo-hit steps, so the view never reads
+    the journal: the replay function is its one materializer.
 
     Cost contract (arena-backed view; persistent is O(1)/O(procs)
     throughout):
@@ -382,9 +384,10 @@ end
       other O(procs) accessors allocate only their result ([Some],
       list cells), nothing per scanned process.
     - O(locs): {!Config_view.state_bindings}.
-    - O(events): {!Config_view.trace_length}, {!Config_view.events_of}.
-    - Materializing (O(events + locs + procs), allocates):
-      {!Config_view.trace}, {!Config_view.last_event},
+    - O(events) on a persistent view; materializing on a machine view:
+      {!Config_view.trace_length}, {!Config_view.events_of}.
+    - Materializing (the replay function's cost on a machine view,
+      allocates): {!Config_view.trace}, {!Config_view.last_event},
       {!Config_view.config} — cached after the first call.
 
     Order tracking: {!Config_view.trace}, {!Config_view.last_event} and
@@ -408,19 +411,21 @@ module Config_view : sig
   (** Trivial persistent view ({!Config_view.config} returns the
       argument itself). *)
 
-  val of_machine : Machine.t -> t
-  (** Zero-copy arena view.  Borrow: valid until the machine moves. *)
-
   val of_machine_flat : Machine.t -> replay:(unit -> config) -> t
-  (** Zero-copy view over a machine driven by
-      {!Machine.walk_naive_checked}, whose journal does not cover
-      memo-hit steps.  Flat accessors (statuses, decisions, steps,
-      store state) read the machine arrays directly; trace-shaped
+  (** Zero-copy machine view.  Flat accessors (statuses, decisions,
+      steps, store state) read the machine arrays directly; trace-shaped
       accessors ({!trace}, {!last_event}, {!config}, {!trace_length},
       {!events_of}) materialize a persistent configuration by calling
-      [replay] — typically the explorer replaying the walk's recorded
-      move path from its root configuration — once, cached.  Same
-      borrow discipline as {!of_machine}. *)
+      [replay] once, cached.  A machine driven by
+      {!Machine.walk_naive_checked} or the frame steps has no journal
+      entry for its memo-hit steps, so its [replay] is the explorer
+      replaying the walk's recorded move path from its root
+      configuration.  Borrow: valid until the machine moves. *)
+
+  val of_machine : Machine.t -> t
+  (** [of_machine_flat m ~replay:(fun () -> Machine.config m)]: the view
+      over a machine moved only by {!Machine.step} and the other
+      journaled moves, whose journal covers every step. *)
 
   val reset : t -> unit
   (** Forget the cached trace and configuration and clear the

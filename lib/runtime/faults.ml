@@ -18,19 +18,6 @@ let none =
   { crash_p = 0.0; lose_p = 0.0; stick_p = 0.0; max_crashes = 0;
     max_faults = 0 }
 
-let apply config decision =
-  match decision with
-  | Repro.Step pid -> Engine.step config pid
-  | Repro.Crash pid ->
-    Obs.Metrics.incr m_injected;
-    Engine.crash config pid
-  | Repro.Lose pid ->
-    Obs.Metrics.incr m_injected;
-    Engine.step_lost config pid
-  | Repro.Stick loc ->
-    Obs.Metrics.incr m_injected;
-    { config with Engine.store = Memory.Store.freeze config.Engine.store loc }
-
 let apply_machine m decision =
   match decision with
   | Repro.Step pid -> Engine.Machine.step m pid

@@ -18,7 +18,7 @@
     shaping and lives in {!Sched.starve}.
 
     [Fuzz] owns the campaign loop; this module owns the per-decision
-    policy ({!decide}) and execution ({!apply}). *)
+    policy ({!decide}) and execution ({!apply_machine}). *)
 
 (** Injection rates and budgets.  Probabilities are per adversary
     decision point: at each point one roll in [\[0, 1)] selects crash
@@ -63,14 +63,12 @@ val decide :
     [sched.observe] for [Step]/[Lose] decisions it executes, exactly as
     {!Engine.run} would. *)
 
-val apply : Engine.config -> Repro.decision -> Engine.config
-(** Execute one decision (the same semantics {!Repro.apply} uses),
-    bumping the [faults.injected] counter for the fault decisions. *)
-
 val apply_machine : Engine.Machine.t -> Repro.decision -> unit
-(** {!apply} on the arena-backed machine: same semantics, same counter.
-    [Stick] uses {!Engine.Machine.freeze}, which is safe here because
-    fault-driven executions never backtrack. *)
+(** Execute one decision on the machine — the semantics {!Repro.apply}
+    replays with on either backend — bumping the [faults.injected]
+    counter for the fault decisions.  [Stick] uses
+    {!Engine.Machine.freeze}, which is safe here because fault-driven
+    executions never backtrack. *)
 
 val is_fault : Repro.decision -> bool
 (** [true] for [Crash]/[Lose]/[Stick], [false] for [Step]. *)

@@ -54,7 +54,6 @@ type run = {
 val run :
   ?max_steps:int ->
   ?plan:Faults.plan ->
-  ?backend:Engine.backend ->
   kind:sched_kind ->
   seed:int ->
   Engine.config ->
@@ -62,15 +61,21 @@ val run :
 (** One deterministic adversarial run: at each decision point
     {!Faults.decide} rolls for an injection (plan defaults to
     {!Faults.none}) and otherwise consults the scheduler; the decision
-    is executed with {!Faults.apply} and logged.  [observe] fires for
-    every decision that scheduled a process — lost writes included, the
-    scheduler cannot tell them apart any better than the process can.
-    Stops when no process is running, the scheduler halts, or [max_steps]
-    (default 1000) store operations have run.  Same [seed] (with equal
-    [kind]/[plan]/[max_steps] and initial configuration) ⇒ identical
-    decision log, on {e either} backend ([Persistent] default;
-    [Arena] drives an {!Engine.Machine} and makes the same rng and
-    scheduler calls in the same order). *)
+    is executed with {!Faults.apply_machine} and logged.  [observe]
+    fires for every decision that scheduled a process — lost writes
+    included, the scheduler cannot tell them apart any better than the
+    process can.  Stops when no process is running, the scheduler
+    halts, or [max_steps] (default 1000) store operations have run.
+    Same [seed] (with equal [kind]/[plan]/[max_steps] and initial
+    configuration) ⇒ identical decision log.
+
+    A run executes on an {!Engine.Machine} built from the configuration
+    with no lowering: it walks each program's compiled tree once (the
+    tree is keyed by response history, so a forward run never revisits
+    a node), so compiling would only allocate.  The machine interprets
+    the programs' closures over its arena store, with the same step
+    semantics as the persistent engine; {!Repro.replay} checks every
+    certificate against the persistent reference. *)
 
 (** Live campaign progress, delivered to [campaign]'s [?progress] once
     per completed run: totals so far plus the configured run budget, the
@@ -105,7 +110,6 @@ val campaign :
   ?kind:sched_kind ->
   ?shrink:bool ->
   ?subject:Lepower_obs.Json.t ->
-  ?backend:Engine.backend ->
   ?progress:(progress -> unit) ->
   failing:(Engine.Config_view.t -> string option) ->
   (unit -> Engine.config) ->
@@ -114,12 +118,13 @@ val campaign :
     run [i] from [fresh ()] with seed [seed + i] (base default 1), and
     stops at the first final state for which [failing] returns a
     message.  The predicate reads the final state through an
-    {!Engine.Config_view.t}: on the arena backend non-violating runs
-    never materialize a persistent configuration — the view serves the
-    predicate from the machine's flat arrays, and a full configuration
-    is only built when a certificate or violation report needs one.
-    Defaults: [max_steps 1000], [plan] {!Faults.none},
-    [kind] [Pct {depth = 3}], [shrink true], [backend] [Persistent].
-    The certificate embeds [subject] so [lepower replay] can rebuild
-    the instance.  Equal seeds yield equal certificates across
-    backends (see {!run}). *)
+    {!Engine.Config_view.t} over the run's machine: non-violating runs
+    never materialize a persistent configuration unless the predicate
+    asks for the trace — the view serves statuses, decisions and store
+    states from the machine's flat arrays — and a full configuration is
+    only built when a certificate or violation report needs one.  The
+    certificate's digests are computed by persistent replay
+    ({!Repro.of_decisions}), the reference every certificate is checked
+    against.  Defaults: [max_steps 1000], [plan] {!Faults.none},
+    [kind] [Pct {depth = 3}], [shrink true].  The certificate embeds
+    [subject] so [lepower replay] can rebuild the instance. *)

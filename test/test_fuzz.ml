@@ -225,6 +225,75 @@ let test_pct_deterministic_and_demoting () =
   Alcotest.(check bool) "priority changes actually happen" true
     (List.length (List.sort_uniq compare s1) > 1)
 
+(* --- oracle: every fuzz run's final == persistent replay of its log --- *)
+
+(* A fuzz run executes on the arena machine; the persistent engine is
+   the reference.  For every run of a seeded fault-injecting campaign,
+   replaying the run's decision log on the persistent backend must reach
+   the same final configuration, structurally and by digest.  The runs
+   must inject every fault kind the plan enables, so each fault path is
+   compared. *)
+let oracle_runs = 256
+
+let check_against_reference ~name ~plan ~kind ~max_steps config =
+  let crashes = ref 0 and lost = ref 0 and stuck = ref 0 in
+  for i = 0 to oracle_runs - 1 do
+    let seed = 1 + i in
+    let r = Fuzz.run ~max_steps ~plan ~kind ~seed config in
+    List.iter
+      (function
+        | Repro.Crash _ -> incr crashes
+        | Repro.Lose _ -> incr lost
+        | Repro.Stick _ -> incr stuck
+        | Repro.Step _ -> ())
+      r.Fuzz.decisions;
+    match Repro.apply ~backend:Engine.Persistent config r.Fuzz.decisions with
+    | Error e -> Alcotest.failf "%s seed %d: log does not replay: %s" name seed e
+    | Ok { Repro.final; _ } ->
+      if not (Engine.config_equal r.Fuzz.final final) then
+        Alcotest.failf "%s seed %d: final differs from persistent replay" name
+          seed;
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d: final digest" name seed)
+        (Fingerprint.digest final)
+        (Fingerprint.digest r.Fuzz.final)
+  done;
+  let injected count rate = rate = 0.0 || count > 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: every enabled fault kind injected (%d crashes, \
+                     %d lost writes, %d stuck-ats)" name !crashes !lost !stuck)
+    true
+    (injected !crashes plan.Faults.crash_p
+    && injected !lost plan.Faults.lose_p
+    && injected !stuck plan.Faults.stick_p)
+
+let test_runs_match_reference () =
+  let election ?(plan = Faults.default) t kind =
+    ( Printf.sprintf "%s %s" t.Election.name (Fuzz.kind_name kind),
+      plan,
+      kind,
+      Election.config t,
+      (t.Election.step_bound * t.Election.n * 2) + 1000 )
+  in
+  let cas = Protocols.Cas_election.instance ~k:4 ~n:3 in
+  let pct = Fuzz.Pct { depth = 3 } in
+  let broken = Subject.of_target (Lint.broken_cas_fixture ~n:5 ~flip:true ()) in
+  List.iter
+    (fun (name, plan, kind, config, max_steps) ->
+      check_against_reference ~name ~plan ~kind ~max_steps config)
+    [
+      election cas Fuzz.Random_walk;
+      election cas pct;
+      ("broken-cas n=5 flip pct", Faults.default, pct, broken.Subject.config, 200);
+      (* Runs where every process takes several steps.  Crashes only:
+         under a lost write or a stuck-at this protocol's continuation
+         raises [Failure], which neither backend turns into a fault. *)
+      election
+        ~plan:{ Faults.default with lose_p = 0.0; stick_p = 0.0 }
+        (Protocols.Permutation_election.instance ~k:4 ~n:6)
+        pct;
+    ]
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -248,6 +317,11 @@ let () =
           Alcotest.test_case "lost write" `Quick test_step_lost_semantics;
           Alcotest.test_case "fault decisions round-trip and replay" `Quick
             test_fault_decisions_roundtrip;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "fault runs match persistent replay" `Quick
+            test_runs_match_reference;
         ] );
       ( "sched",
         [
