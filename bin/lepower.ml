@@ -275,41 +275,15 @@ let elect_cmd =
 
 (* --- explore --- *)
 
-(* Shared by explore and replay: which executor runs the schedules.
-   [arena] is the hot path (compiled step programs + mutable arena store);
-   verdicts, statistics, decision sets and certificates are identical to
-   [persistent] — see Runtime.Engine.Machine. *)
-let backend_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("persistent", Runtime.Engine.Persistent);
-             ("arena", Runtime.Engine.Arena);
-           ])
-        Runtime.Engine.Persistent
-    & info [ "backend" ]
-        ~doc:
-          "Execution backend: $(b,persistent) (immutable reference \
-           configurations) or $(b,arena) (compiled step programs over a \
-           mutable arena store with O(1) snapshot/undo — substantially \
-           faster; verdicts, statistics, decision sets and certificates \
-           are identical).  Composes with --dedup/--por/--static-por: the \
-           reduced walks run journal-free on the machine's flat arrays \
-           with incrementally-maintained fingerprints (see DESIGN.md \
-           $(i,§7)).  Programs whose compiled form outgrows the node \
-           budget transparently fall back to closure interpretation.")
-
 let backend_verify_arg =
   Arg.(
     value & flag
     & info [ "backend-verify" ]
         ~doc:
-          "Debug: with --backend arena, shadow every machine step with the \
-           persistent reference engine and abort on the first divergence \
-           (works in every mode; runs the journal-free frame walk that \
-           --dedup/--por use).  Orders of magnitude slower.")
+          "Debug: shadow every machine step with the persistent reference \
+           engine and abort on the first divergence (works in every mode; \
+           runs the journal-free frame walk that --dedup/--por use, so the \
+           walk stays on one domain).  Orders of magnitude slower.")
 
 let explore_max_steps =
   Arg.(
@@ -324,10 +298,9 @@ let explore_dedup =
         ~doc:
           "Memoize visited configurations (canonical fingerprint over store \
            + per-process state) and prune revisits.  Sound here: the \
-           election predicate is trace-order-insensitive.  Under --backend \
-           arena the fingerprint is maintained incrementally from each \
-           step's delta and revisit probes compare machine snapshots in \
-           place.")
+           election predicate is trace-order-insensitive.  The fingerprint \
+           is maintained incrementally from each step's delta and revisit \
+           probes compare machine snapshots in place.")
 
 let explore_por =
   Arg.(
@@ -343,8 +316,11 @@ let explore_domains =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Split the top of the schedule tree across $(docv) OCaml domains \
-           running in parallel.")
+          "Split the top of the naive walk's schedule tree across $(docv) \
+           OCaml domains running in parallel.  A walk with --dedup, --por, \
+           --static-por or --backend-verify runs on one domain whatever \
+           $(docv) says: split, the reductions lose their cross-branch \
+           sharing and measured slower than on one domain.")
 
 let explore_crash =
   Arg.(
@@ -362,8 +338,8 @@ let explore_static_por =
           "Seed --por with static effect summaries: processes whose \
            footprints provably never conflict commute without per-move \
            decoding (implies --por; verdicts and decision sets are \
-           identical on either backend).  Skipped with a note when the \
-           summary is incomplete (e.g. a retry-loop protocol).")
+           identical).  Skipped with a note when the summary is incomplete \
+           (e.g. a retry-loop protocol).")
 
 (* Heartbeat payload for explore: the campaign vitals the ISSUE asks the
    stream to carry — throughput, reduction hit-rates, frontier size and
@@ -407,7 +383,7 @@ let explore_hb_fields hb (p : Runtime.Explore.progress) =
   @ busy
 
 let explore k protocol n max_steps dedup por static_por domains crash_faults
-    backend backend_verify trace_out metrics_out prof progress progress_out
+    backend_verify trace_out metrics_out prof progress progress_out
     interval folded_out =
   let instance = election_instance ~k ~n protocol in
   Printf.printf "protocol: %s\n" instance.Protocols.Election.name;
@@ -437,28 +413,23 @@ let explore k protocol n max_steps dedup por static_por domains crash_faults
               (String.concat ", " summary.Lepower_static.Summary.limits);
             [||]
       in
-      (* Aggregate per-item lowering reports under --backend arena: how
-         much of each process compiled to the flat instruction DAG and
-         whether anything bailed to the closure fallback. *)
+      (* Aggregate per-item lowering reports: how much of each process
+         compiled to the flat instruction DAG and whether anything bailed
+         to the closure fallback. *)
       let low_items = ref 0 in
       let low_nodes = ref 0 in
       let low_hits = ref 0 in
       let low_misses = ref 0 in
       let low_bailed = ref 0 in
-      let on_lowering =
-        match backend with
-        | Runtime.Engine.Persistent -> None
-        | Runtime.Engine.Arena ->
-          Some
-            (fun reports ->
-              incr low_items;
-              Array.iter
-                (fun (r : Runtime.Program.Compiled.report) ->
-                  low_nodes := !low_nodes + r.Runtime.Program.Compiled.nodes;
-                  low_hits := !low_hits + r.Runtime.Program.Compiled.hits;
-                  low_misses := !low_misses + r.Runtime.Program.Compiled.misses;
-                  if r.Runtime.Program.Compiled.bailed then incr low_bailed)
-                reports)
+      let on_lowering reports =
+        incr low_items;
+        Array.iter
+          (fun (r : Runtime.Program.Compiled.report) ->
+            low_nodes := !low_nodes + r.Runtime.Program.Compiled.nodes;
+            low_hits := !low_hits + r.Runtime.Program.Compiled.hits;
+            low_misses := !low_misses + r.Runtime.Program.Compiled.misses;
+            if r.Runtime.Program.Compiled.bailed then incr low_bailed)
+          reports
       in
       match
         Protocols.Election.explore_stats instance ~max_steps
@@ -469,10 +440,10 @@ let explore k protocol n max_steps dedup por static_por domains crash_faults
               dedup;
               por = por || static_por;
               domains;
-              backend;
+              backend = Runtime.Engine.Arena;
               verify_backend = backend_verify;
               footprints;
-              on_lowering;
+              on_lowering = Some on_lowering;
               progress = progress_cb;
             }
       with
@@ -514,14 +485,11 @@ let explore k protocol n max_steps dedup por static_por domains crash_faults
             stats.Runtime.Explore.por_checks;
         Printf.printf "domains used:          %d\n"
           stats.Runtime.Explore.domains_used;
-        (match backend with
-        | Runtime.Engine.Persistent -> ()
-        | Runtime.Engine.Arena ->
-          Printf.printf
-            "backend:               arena (%d machines; %d compiled nodes, \
-             %d edge hits / %d misses, %d pids bailed to closures%s)\n"
-            !low_items !low_nodes !low_hits !low_misses !low_bailed
-            (if backend_verify then "; verified against persistent" else ""));
+        Printf.printf
+          "backend:               arena (%d machines; %d compiled nodes, %d \
+           edge hits / %d misses, %d pids bailed to closures%s)\n"
+          !low_items !low_nodes !low_hits !low_misses !low_bailed
+          (if backend_verify then "; verified against persistent" else "");
         (0, None)
       | Error e ->
         Printf.printf "violation: %s\n" e;
@@ -533,12 +501,13 @@ let explore_cmd =
        ~doc:
          "Exhaustively check a leader election over every interleaving and \
           report the schedule-space statistics (small instances only).  \
-          --dedup, --por and --domains opt into the reduced/parallel \
-          explorer; the verdict is identical to the naive walk's.")
+          Schedules run on the arena machine.  --dedup and --por opt into \
+          the reduced explorer, --domains splits the naive walk; the \
+          verdict is identical to the naive walk's.")
     Term.(
       const explore $ k_arg $ elect_protocol $ elect_n $ explore_max_steps
       $ explore_dedup $ explore_por $ explore_static_por $ explore_domains
-      $ explore_crash $ backend_arg $ backend_verify_arg $ trace_out_arg
+      $ explore_crash $ backend_verify_arg $ trace_out_arg
       $ metrics_out_arg $ prof_arg $ progress_arg $ progress_out_arg
       $ progress_interval_arg $ folded_out_arg)
 
@@ -1058,7 +1027,7 @@ let replay_out =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Write the minimized certificate to $(docv) (with --shrink).")
 
-let replay cert_file shrink out backend trace_out metrics_out =
+let replay cert_file shrink out trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
   match Runtime.Repro.load cert_file with
   | Error e ->
@@ -1081,8 +1050,7 @@ let replay cert_file shrink out backend trace_out metrics_out =
       if cert.Runtime.Repro.message <> "" then
         Printf.printf "failure:   %s\n" cert.Runtime.Repro.message;
       match
-        Runtime.Repro.replay ~backend cert
-          r.Lepower_check.Repro_subject.config
+        Runtime.Repro.replay cert r.Lepower_check.Repro_subject.config
       with
       | Error e ->
         Printf.printf "replay rejected: %s\n" e;
@@ -1134,12 +1102,13 @@ let replay_cmd =
        ~doc:
          "Deterministically re-execute a recorded schedule certificate: \
           rebuild the instance from the certificate's subject, drive the \
-          engine along the recorded adversary decisions, verify initial and \
-          final configuration fingerprints bit-for-bit, and re-check the \
-          failure.  Exit 0 iff the failure reproduces.")
+          persistent reference engine along the recorded adversary \
+          decisions, verify initial and final configuration fingerprints \
+          bit-for-bit, and re-check the failure.  Exit 0 iff the failure \
+          reproduces.")
     Term.(
-      const replay $ replay_cert $ replay_shrink $ replay_out $ backend_arg
-      $ trace_out_arg $ metrics_out_arg)
+      const replay $ replay_cert $ replay_shrink $ replay_out $ trace_out_arg
+      $ metrics_out_arg)
 
 (* --- emulate --- *)
 

@@ -75,14 +75,12 @@ let step_impl config pid =
         let event = { Trace.time = config.time; pid; loc; op = o; result } in
         let proc' =
           match k result with
-          | exception Value.Type_error (want, got) ->
+          | exception e ->
+            let msg = Program.fault_message e in
             Obs.Metrics.incr m_faults;
             {
               proc with
-              Proc.status =
-                Proc.Faulty
-                  (Printf.sprintf "type error: expected %s, got %s" want
-                     (Value.to_string got));
+              Proc.status = Proc.Faulty msg;
               steps = proc.Proc.steps + 1;
             }
           | Program.Done v ->
@@ -544,11 +542,10 @@ module Machine = struct
     | Ok result ->
       record_store_op op result;
       (match k result with
-      | exception Value.Type_error (want, got) ->
+      | exception e ->
+        let msg = Program.fault_message e in
         Obs.Metrics.incr m_faults;
-        fault m pid
-          (Printf.sprintf "type error: expected %s, got %s" want
-             (Value.to_string got))
+        fault m pid msg
       | Program.Done v ->
         m.prim_pcs.(pid) <- Program.Done v;
         decide_nopush m pid v

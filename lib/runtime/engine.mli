@@ -20,14 +20,13 @@ type config = {
     pure functions over {!config}.  [Arena] is the hot path: a
     {!Machine} over a mutable {!Memory.Store.Arena} with compiled
     programs and an undo journal.  The two are step-for-step
-    equivalent; [Explore] and [Repro] take a backend option and
-    guarantee identical verdicts, decision sets, and replay digests.
-    [Fuzz] runs on the machine only, and its certificates are checked
-    by persistent replay. *)
+    equivalent; [Explore] takes a backend option and guarantees
+    identical verdicts and decision sets.  [Fuzz] runs on the machine
+    only, and [Repro] replays certificates on the reference only. *)
 type backend = Persistent | Arena
 
 val backend_name : backend -> string
-(** ["persistent"] / ["arena"] (the CLI flag spelling). *)
+(** ["persistent"] / ["arena"]. *)
 
 val init : Memory.Store.t -> Program.prim list -> config
 (** Processes get pids [0 .. n-1] in list order. *)
@@ -38,7 +37,8 @@ val enabled : config -> int list
 val step : config -> int -> config
 (** Advance process [pid] by one shared-memory operation.  A process whose
     operation is rejected by the store, or whose continuation raises,
-    becomes [Faulty].  Stepping a non-running process is a no-op. *)
+    becomes [Faulty] (message: {!Program.fault_message}).  Stepping a
+    non-running process is a no-op. *)
 
 val crash : config -> int -> config
 (** Fail-stop a process (adversary move). *)

@@ -33,8 +33,9 @@ let ph_frontier = Lepower_prof.Phase.make "explore.frontier"
 
 (* Live progress for long campaigns: a rate-limited callback (every 8192
    configurations per worker) with the running totals — globally merged
-   under [domains], via relaxed atomics.  The counts a parallel reader
-   sees momentarily lag the workers; the final stats do not. *)
+   under a naive walk's [domains], via relaxed atomics.  The counts a
+   parallel reader sees momentarily lag the workers; the final stats do
+   not. *)
 type progress = {
   p_configs : int;
   p_terminals : int;
@@ -156,7 +157,7 @@ let sleep_inter a b = List.filter (fun m -> sleep_mem m b) a
 (* ------------------------------------------------------------------ *)
 (* Internal knobs and mutable accumulators.                           *)
 
-(* Which DFS runs each item: the persistent reference, the arena naive
+(* Which DFS runs the walk: the persistent reference, the arena naive
    walk, or the arena frame walk that carries the reductions and the
    lockstep shadow.  The frame walk needs its sleep bitsets (one bit
    per step and per crash move) to fit an int; beyond that its modes
@@ -293,25 +294,6 @@ let rtbl_add tbl m histories h sleep =
     :: tbl.r_buckets.(i);
   tbl.r_count <- tbl.r_count + 1
 
-(* Visited-set representation, fixed per run by [opts]: the reference
-   walk ([explore_seq]) stores the sleep set at first visit as a move
-   list keyed by full fingerprints; the reduced arena walk uses the
-   snapshot table above.  Dispatch depends on
-   [opts] alone — never on a particular DFS item — so workers can pick
-   the representation before seeing any work and share one table
-   across their frontier items. *)
-type visited_tbl =
-  | V_lists of move list Fingerprint.Tbl.t
-  | V_bits of rtbl
-
-let visited_create opts size =
-  if not opts.o_dedup then None
-  else if opts.o_walker = W_arena_reduced then Some (V_bits (rtbl_create size))
-  else Some (V_lists (Fingerprint.Tbl.create size))
-
-let visited_lists = function Some (V_lists t) -> Some t | _ -> None
-let visited_bits = function Some (V_bits t) -> Some t | _ -> None
-
 let initial_histories (config : Engine.config) =
   Array.make (Array.length config.Engine.procs) Fingerprint.history_empty
 
@@ -365,8 +347,11 @@ let moves_of opts pids =
 (* node is re-explored with the intersection (state-space caching      *)
 (* discipline), which keeps the combination sound.                     *)
 
-let explore_seq ~opts ~acc ?tick ~visited ~analyze ~on_terminal ~on_truncated
-    (config0, histories0, depth0, rpath0) =
+let explore_seq ~opts ~acc ?tick ~analyze ~on_terminal ~on_truncated
+    (config0, depth0, rpath0) =
+  let visited =
+    if opts.o_dedup then Some (Fingerprint.Tbl.create 4096) else None
+  in
   let rec go config histories depth rpath sleep =
     if depth > acc.a_max_depth then acc.a_max_depth <- depth;
     let enabled = Engine.enabled config in
@@ -471,7 +456,7 @@ let explore_seq ~opts ~acc ?tick ~visited ~analyze ~on_terminal ~on_truncated
       | `Dedup -> acc.a_deduped <- acc.a_deduped + 1
       | `Proceed sleep -> proceed sleep)
   in
-  go config0 histories0 depth0 rpath0 []
+  go config0 (initial_histories config0) depth0 rpath0 []
 
 (* ------------------------------------------------------------------ *)
 (* The same DFS on the arena backend: one Engine.Machine per frontier  *)
@@ -516,7 +501,7 @@ let path_thunks ~config0 ~rpath0 path mc_now =
    for the trace or the decision path pays, by replaying the walker's
    recorded move path from this item's root configuration. *)
 let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
-    ~on_truncated (config0, _histories0, depth0, rpath0) =
+    ~on_truncated (config0, depth0, rpath0) =
   let m = Engine.Machine.of_config config0 in
   (* [ws] starts from the shared accumulator so the tick cadence
      ([a_configs land 8191]) is unchanged. *)
@@ -598,12 +583,14 @@ let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
    sets are disjoint, so bit iteration visits exactly the candidates
    the reference's list filter does), dedup actions and the
    caching-discipline subset/intersection tests all mirror
-   [explore_seq] exactly; the cross-backend digest tests pin this. *)
-let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
-    ~on_truncated (config0, histories0, depth0, rpath0) =
+   [explore_seq] exactly; the cross-backend digest tests pin this.
+   Reduced walks never split, so this one starts at the root. *)
+let explore_arena_reduced ~opts ~acc ?tick ~analyze ~on_terminal
+    ~on_truncated config0 =
   let m = Engine.Machine.of_config config0 in
   let n = Engine.Machine.n_procs m in
-  let histories = Array.copy histories0 in
+  let histories = initial_histories config0 in
+  let visited = if opts.o_dedup then Some (rtbl_create 4096) else None in
   let store_sum = ref 0 and proc_sum = ref 0 in
   (* Per-walk fingerprint plumbing: histories are extended through a
      hash-consing table so re-derived spines stay physically shared
@@ -647,7 +634,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
     else [||]
   in
   (if opts.o_dedup then begin
-     let s, p = Fingerprint.sums config0 histories0 in
+     let s, p = Fingerprint.sums config0 histories in
      store_sum := s;
      proc_sum := p
    end);
@@ -674,7 +661,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
     end
   in
   let mc_now = ref 0 in
-  let decisions, replay = path_thunks ~config0 ~rpath0 path mc_now in
+  let decisions, replay = path_thunks ~config0 ~rpath0:[] path mc_now in
   (* One leaf view per walk, reset before each hook, as in
      [explore_arena_naive]. *)
   let view = Engine.Config_view.of_machine_flat m ~replay in
@@ -911,13 +898,14 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
   for pid = 0 to n - 1 do
     if Engine.Machine.is_running m pid then incr running0
   done;
-  go depth0 0 !running0 0;
+  go 0 0 !running0 0;
   m
 
 (* Backend dispatch for one DFS item — the single worker entry point for
-   both the [domains <= 1] path and the frontier workers. *)
-let explore_item ~opts ~acc ?tick ~visited ~analyze ~on_terminal
-    ~on_truncated ~on_lowering item =
+   both the one-domain walk and the frontier workers.  Only naive walks
+   are split, so the reduced walker only ever receives the root. *)
+let explore_item ~opts ~acc ?tick ~analyze ~on_terminal ~on_truncated
+    ~on_lowering ((config, _, _) as item) =
   let lowered m =
     match on_lowering with
     | None -> ()
@@ -925,28 +913,27 @@ let explore_item ~opts ~acc ?tick ~visited ~analyze ~on_terminal
   in
   match opts.o_walker with
   | W_seq ->
-    explore_seq ~opts ~acc ?tick ~visited:(visited_lists visited) ~analyze
-      ~on_terminal ~on_truncated item
+    explore_seq ~opts ~acc ?tick ~analyze ~on_terminal ~on_truncated item
   | W_arena_naive ->
     lowered
       (explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
          ~on_truncated item)
   | W_arena_reduced ->
     lowered
-      (explore_arena_reduced ~opts ~acc ?tick ~visited:(visited_bits visited)
-         ~analyze ~on_terminal ~on_truncated item)
+      (explore_arena_reduced ~opts ~acc ?tick ~analyze ~on_terminal
+         ~on_truncated config)
 
 (* ------------------------------------------------------------------ *)
 (* Multicore frontier exploration.                                    *)
 
-(* Expand the first few levels of the schedule tree breadth-first (naive:
-   no memoization or reduction, so the split is exact) until at least
-   [target] roots exist; leaves met on the way are dispatched to the
-   callbacks right here in the coordinator.  Returns the frontier in
-   deterministic (schedule) order, each root carrying its path prefix. *)
+(* Expand the first few levels of the schedule tree breadth-first until
+   at least [target] roots exist; leaves met on the way are dispatched to
+   the callbacks right here in the coordinator.  Only naive walks split,
+   so the split is exact.  Returns the frontier in deterministic
+   (schedule) order, each root carrying its path prefix. *)
 let split_frontier ~opts ~acc ~analyze ~on_terminal ~on_truncated ~target
     config =
-  let expand (config, histories, depth, rpath) =
+  let expand (config, depth, rpath) =
     if depth > acc.a_max_depth then acc.a_max_depth <- depth;
     acc.a_configs <- acc.a_configs + 1;
     match Engine.enabled config with
@@ -973,12 +960,8 @@ let split_frontier ~opts ~acc ~analyze ~on_terminal ~on_truncated ~target
         (fun m ->
           let rpath' = decision_of_move m :: rpath in
           match m with
-          | Step_m pid ->
-            let config', histories' =
-              step_with_history opts config histories pid
-            in
-            [ (config', histories', depth + 1, rpath') ]
-          | Crash_m pid -> [ (Engine.crash config pid, histories, depth, rpath') ])
+          | Step_m pid -> [ (Engine.step config pid, depth + 1, rpath') ]
+          | Crash_m pid -> [ (Engine.crash config pid, depth, rpath') ])
         (moves_of opts pids)
   in
   let rec grow frontier =
@@ -988,13 +971,12 @@ let split_frontier ~opts ~acc ~analyze ~on_terminal ~on_truncated ~target
       | [] -> []
       | next -> grow next
   in
-  grow [ (config, initial_histories config, 0, []) ]
+  grow [ (config, 0, []) ]
 
 (* Workers share nothing: each gets every [i mod domains = w]-th frontier
    root (static split, so per-worker work — and therefore every merged
-   count — is deterministic), its own visited table, and its own
-   accumulator.  User callbacks are serialized through one mutex by the
-   caller.  A worker that raises (e.g. [Stop_exploration] out of a
+   count — is deterministic) and its own accumulator.  User callbacks
+   are serialized through one mutex by the caller.  A worker that raises (e.g. [Stop_exploration] out of a
    checking callback) stops early; its exception is re-raised by the
    coordinator after all workers are joined. *)
 (* Globally merged running totals for the progress callback: workers
@@ -1005,8 +987,6 @@ type pshared = {
   ps_configs : int Atomic.t;
   ps_terminals : int Atomic.t;
   ps_truncated : int Atomic.t;
-  ps_deduped : int Atomic.t;
-  ps_pruned : int Atomic.t;
   ps_max_depth : int Atomic.t;
 }
 
@@ -1015,8 +995,6 @@ let pshared_create () =
     ps_configs = Atomic.make 0;
     ps_terminals = Atomic.make 0;
     ps_truncated = Atomic.make 0;
-    ps_deduped = Atomic.make 0;
-    ps_pruned = Atomic.make 0;
     ps_max_depth = Atomic.make 0;
   }
 
@@ -1027,8 +1005,6 @@ let pshared_publish ps ~last (wacc : acc) =
   add ps.ps_configs wacc.a_configs last.a_configs;
   add ps.ps_terminals wacc.a_terminals last.a_terminals;
   add ps.ps_truncated wacc.a_truncated last.a_truncated;
-  add ps.ps_deduped wacc.a_deduped last.a_deduped;
-  add ps.ps_pruned wacc.a_pruned last.a_pruned;
   let rec bump () =
     let cur = Atomic.get ps.ps_max_depth in
     if
@@ -1037,25 +1013,18 @@ let pshared_publish ps ~last (wacc : acc) =
     then bump ()
   in
   bump ();
-  acc_merge last wacc;
-  (* acc_merge adds; we want a copy of the current state instead. *)
-  last.a_terminals <- wacc.a_terminals;
-  last.a_truncated <- wacc.a_truncated;
-  last.a_max_depth <- wacc.a_max_depth;
-  last.a_choice_points <- wacc.a_choice_points;
   last.a_configs <- wacc.a_configs;
-  last.a_deduped <- wacc.a_deduped;
-  last.a_pruned <- wacc.a_pruned;
-  last.a_por_checks <- wacc.a_por_checks;
-  last.a_fast <- wacc.a_fast
+  last.a_terminals <- wacc.a_terminals;
+  last.a_truncated <- wacc.a_truncated
 
+(* Split walks are naive: nothing is deduplicated or pruned. *)
 let pshared_progress ps ~domains =
   {
     p_configs = Atomic.get ps.ps_configs;
     p_terminals = Atomic.get ps.ps_terminals;
     p_truncated = Atomic.get ps.ps_truncated;
-    p_deduped = Atomic.get ps.ps_deduped;
-    p_pruned = Atomic.get ps.ps_pruned;
+    p_deduped = 0;
+    p_pruned = 0;
     p_max_depth = Atomic.get ps.ps_max_depth;
     p_domains = domains;
   }
@@ -1110,7 +1079,6 @@ let run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
                 notify ()
               in
               let tick = if progress = None then None else Some tick in
-              let visited = visited_create opts 1024 in
               let failed = ref None in
               let tok = Lepower_prof.Phase.enter ph_walk in
               (try
@@ -1119,7 +1087,7 @@ let run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
                    (fun i item ->
                      if i mod nd = w then begin
                        incr roots;
-                       explore_item ~opts ~acc:wacc ?tick ~visited ~analyze
+                       explore_item ~opts ~acc:wacc ?tick ~analyze
                          ~on_terminal ~on_truncated ~on_lowering item
                      end)
                    items;
@@ -1162,7 +1130,13 @@ let drop_path f = Option.map (fun g view _rpath -> g view) f
 let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
     ~on_truncated config =
   let opts = opts_of options ~n_procs:(Array.length config.Engine.procs) in
-  let domains = options.Options.domains in
+  (* Only the naive walk splits: split, a reduced walk loses the
+     reductions' cross-branch sharing and measured slower in every mode
+     (EXPERIMENTS.md E12). *)
+  let domains =
+    if opts.o_dedup || opts.o_por || opts.o_verify then 1
+    else options.Options.domains
+  in
   (* The lowering report fires once per DFS item, not per configuration,
      so a mutex around it is cheap even on the hottest runs. *)
   let on_lowering =
@@ -1215,7 +1189,6 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
       (fun () ->
         let progress = options.Options.progress in
         if domains <= 1 then begin
-          let visited = visited_create opts 4096 in
           let tick =
             Option.map
               (fun f (acc : acc) ->
@@ -1232,9 +1205,8 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
               progress
           in
           let tok = Lepower_prof.Phase.enter ph_walk in
-          explore_item ~opts ~acc ?tick ~visited ~analyze ~on_terminal
-            ~on_truncated ~on_lowering
-            (config, initial_histories config, 0, []);
+          explore_item ~opts ~acc ?tick ~analyze ~on_terminal
+            ~on_truncated ~on_lowering (config, 0, []);
           Lepower_prof.Phase.leave tok;
           1
         end

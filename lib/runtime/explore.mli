@@ -32,9 +32,12 @@
       independence relation: moves of distinct processes commute when
       they touch distinct locations, or both read the same location, or
       at least one touches no location (crashes, decide steps).
-    - [domains = n] splits the top of the schedule tree over [n] OCaml 5
-      domains, each running the sequential explorer; statistics merge
-      deterministically (static work split, no cross-domain sharing).
+    - [domains = n] splits the top of the {e naive} walk's schedule
+      tree over [n] OCaml 5 domains, each running the sequential
+      explorer; statistics merge deterministically (static work split,
+      no cross-domain sharing).  With [dedup], [por] or
+      [verify_backend] on, the walk runs on one domain: split, it lost
+      the reductions' cross-branch sharing and ran slower.
 
     Every mode preserves: the set of reachable terminal configurations
     up to trace-order (hence [check_all] verdicts for trace-{e order}-
@@ -118,7 +121,9 @@ module Options : sig
             space *)
     dedup : bool;  (** fingerprint memoization (default [false]) *)
     por : bool;  (** sleep-set partial-order reduction (default [false]) *)
-    domains : int;  (** worker domains (default [1] = sequential) *)
+    domains : int;
+        (** worker domains (default [1] = sequential); ignored under
+            [dedup], [por] or [verify_backend] *)
     backend : Engine.backend;
         (** which executor runs the DFS (default [Persistent]).
             [Arena] lowers each DFS root into an {!Engine.Machine} —
@@ -190,8 +195,8 @@ module Options : sig
             item's machine — how many instructions were interned,
             edge-table hit/miss counts, and whether the process bailed
             to the closure fallback.  Serialized by a mutex under
-            [domains].  The CLI's [--backend arena] aggregates these
-            into its lowering summary (default [None]). *)
+            [domains].  [lepower explore] aggregates these into its
+            lowering summary (default [None]). *)
     progress : (progress -> unit) option;
         (** called every 8192 configurations (per worker domain, merged
             globally and serialized by a mutex under [domains]) with the

@@ -39,6 +39,12 @@ let rec repeat_until body =
 
 let complete m = m (fun v -> Done v)
 
+let fault_message = function
+  | (Out_of_memory | Stack_overflow) as e -> raise e
+  | Value.Type_error (want, got) ->
+    Printf.sprintf "type error: expected %s, got %s" want (Value.to_string got)
+  | e -> "continuation raised " ^ Printexc.to_string e
+
 (* ------------------------------------------------------------------ *)
 (* Compiled representation: a flat instruction array.                  *)
 (*                                                                     *)
@@ -171,11 +177,8 @@ module Compiled = struct
         | exception Not_found -> (
           c.misses <- c.misses + 1;
           match n.k result with
-          | exception Value.Type_error (want, got) ->
-            let msg =
-              Printf.sprintf "type error: expected %s, got %s" want
-                (Value.to_string got)
-            in
+          | exception e ->
+            let msg = fault_message e in
             Vtbl.replace n.faults result msg;
             O_fault msg
           | next ->
@@ -198,10 +201,7 @@ let run_sequential store ~pid prim =
       | Error _ as e -> e
       | Ok (store, res) -> (
         match k res with
-        | exception Value.Type_error (want, got) ->
-          Error
-            (Printf.sprintf "type error: expected %s, got %s" want
-               (Value.to_string got))
+        | exception e -> Error (fault_message e)
         | next -> go store next))
   in
   go store prim

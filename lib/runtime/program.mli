@@ -59,6 +59,14 @@ val repeat_until : (unit -> 'a option t) -> 'a t
 val complete : Value.t t -> prim
 (** Close a program: its result becomes the decision value. *)
 
+val fault_message : exn -> string
+(** The [Faulty] status message of a process whose continuation raised
+    the given exception — worded the same on every executor.  A
+    {!Memory.Value.Type_error} reads ["type error: expected W, got V"];
+    any other exception reads ["continuation raised E"] with [E] its
+    [Printexc.to_string].  @raise Out_of_memory and [Stack_overflow]
+    again: those are the runtime failing, not the program. *)
+
 val run_sequential : Memory.Store.t -> pid:int -> prim ->
   (Memory.Store.t * Value.t, string) result
 (** Run a program to completion alone against a store (no concurrency).
@@ -112,7 +120,8 @@ module Compiled : sig
     | O_next of int  (** next interned instruction *)
     | O_inline of prim
         (** instruction cap hit: continue on the closure interpreter *)
-    | O_fault of string  (** the continuation raised a type error *)
+    | O_fault of string
+        (** the continuation raised; the {!fault_message} *)
 
   val advance : t -> int -> Value.t -> outcome
   (** [advance c id response] follows (and on first traversal, builds)

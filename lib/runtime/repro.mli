@@ -132,7 +132,6 @@ type applied = {
 
 val apply :
   ?strict:bool ->
-  ?backend:Engine.backend ->
   Engine.config ->
   decision list ->
   (applied, string) result
@@ -141,21 +140,20 @@ val apply :
     [Step]/[Crash]/[Lose] of a pid that is not running, or a [Stick] of
     an unknown location — naming its index; with [~strict:false]
     inapplicable decisions are skipped and counted, which is what the
-    shrinker's candidate evaluation uses.  [backend] (default
-    [Persistent]) selects the executor; both run the same applicability
-    logic and step semantics, so the outcome — including error
-    strings — is identical. *)
+    shrinker's candidate evaluation uses.  Decisions run on the
+    persistent reference engine, the executor certificate digests are
+    defined against. *)
 
-val replay :
-  ?backend:Engine.backend -> t -> Engine.config -> (Engine.config, string) result
+val replay : t -> Engine.config -> (Engine.config, string) result
 (** [replay cert config] verifies [config]'s digest against
     [cert.initial], strictly applies the decisions, and verifies the
     resulting digest against [cert.final].  [Ok] returns the final
     configuration — the caller re-checks its predicate on it; [Error]
     names the first mismatch (a corrupted or mis-resolved certificate
-    never replays silently).  Because the digest gates are bit-for-bit,
-    a certificate recorded on either backend replays on either: the
-    cross-backend test matrix relies on exactly this. *)
+    never replays silently).  Replay runs on the persistent reference
+    only; a certificate recorded from an arena-machine run replays here
+    because the two backends' digests agree bit for bit (the fuzz
+    oracle tests pin that). *)
 
 (** {1 Shrinking} *)
 

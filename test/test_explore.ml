@@ -12,7 +12,8 @@ module Explore = Runtime.Explore
 module Value = Memory.Value
 module Election = Protocols.Election
 
-(* Every reduction alone, combined, and with a parallel frontier. *)
+(* Every reduction alone, combined, and with [domains] requested (a
+   reduced walk ignores it and runs on one domain). *)
 let modes =
   [
     ("naive", false, false, 1);
@@ -202,6 +203,45 @@ let test_domains_deterministic () =
   Alcotest.(check bool) "several domains actually ran" true
     (a.Explore.domains_used > 1)
 
+(* Only the naive walk splits: with dedup, POR or the lockstep shadow on,
+   [domains] is ignored, so three domains give exactly the one-domain
+   stats on either backend, [domains_used] included. *)
+let test_reduced_single_domain () =
+  let config () =
+    Election.config (Protocols.Cas_election.instance ~k:4 ~n:3)
+  in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (mode, dedup, por, verify_backend) ->
+          let stats domains =
+            Explore.explore
+              ~options:
+                {
+                  (opts ~crash_faults:true ~max_steps:60 ~dedup ~por ~domains
+                     ())
+                  with
+                  backend;
+                  verify_backend;
+                }
+              (config ())
+          in
+          let one = stats 1 and three = stats 3 in
+          let name =
+            Printf.sprintf "%s %s" (Runtime.Engine.backend_name backend) mode
+          in
+          Alcotest.(check int) (name ^ ": domains_used") 1
+            three.Explore.domains_used;
+          Alcotest.(check bool) (name ^ ": domains=3 stats = domains=1 stats")
+            true (one = three))
+        [
+          ("dedup", true, false, false);
+          ("por", false, true, false);
+          ("dedup+por", true, true, false);
+          ("verify", false, false, true);
+        ])
+    [ Runtime.Engine.Persistent; Runtime.Engine.Arena ]
+
 (* --- naive mode is bit-for-bit the historical walk --- *)
 
 let test_naive_unchanged () =
@@ -276,6 +316,8 @@ let () =
         [
           Alcotest.test_case "deterministic merged stats" `Quick
             test_domains_deterministic;
+          Alcotest.test_case "reduced walks run on one domain" `Quick
+            test_reduced_single_domain;
         ] );
       ( "compatibility",
         [

@@ -247,7 +247,7 @@ let check_against_reference ~name ~plan ~kind ~max_steps config =
         | Repro.Stick _ -> incr stuck
         | Repro.Step _ -> ())
       r.Fuzz.decisions;
-    match Repro.apply ~backend:Engine.Persistent config r.Fuzz.decisions with
+    match Repro.apply config r.Fuzz.decisions with
     | Error e -> Alcotest.failf "%s seed %d: log does not replay: %s" name seed e
     | Ok { Repro.final; _ } ->
       if not (Engine.config_equal r.Fuzz.final final) then
@@ -285,14 +285,70 @@ let test_runs_match_reference () =
       election cas Fuzz.Random_walk;
       election cas pct;
       ("broken-cas n=5 flip pct", Faults.default, pct, broken.Subject.config, 200);
-      (* Runs where every process takes several steps.  Crashes only:
-         under a lost write or a stuck-at this protocol's continuation
-         raises [Failure], which neither backend turns into a fault. *)
-      election
-        ~plan:{ Faults.default with lose_p = 0.0; stick_p = 0.0 }
-        (Protocols.Permutation_election.instance ~k:4 ~n:6)
-        pct;
+      (* Runs where every process takes several steps, and where a lost
+         write or a stuck-at makes a continuation raise [Failure]: both
+         backends must turn it into the same Faulty process. *)
+      election (Protocols.Permutation_election.instance ~k:4 ~n:6) pct;
+      election (Protocols.Multi_election.instance ~ks:[ 3; 3 ] ~n:4) pct;
     ]
+
+(* --- a raising continuation faults its process on every executor --- *)
+
+(* [fail_at ops] performs [ops] increments, then its continuation raises
+   [Failure].  After one op the compiled node's edge builder calls the
+   continuation; after two, a fuzz run's interpreting machine calls it
+   from the closure fallback. *)
+let fail_at ops =
+  let open Runtime.Program in
+  let rec go i =
+    let* _ = op "c" (Value.sym "incr") in
+    if i = 1 then failwith "boom" else go (i - 1)
+  in
+  complete (go ops)
+
+let test_raising_continuation () =
+  let expected = "continuation raised Failure(\"boom\")" in
+  List.iter
+    (fun ops ->
+      let name = Printf.sprintf "failwith after %d op(s)" ops in
+      let config =
+        Engine.init (Store.create [ ("c", counter_spec) ]) [ fail_at ops ]
+      in
+      let status (c : Engine.config) =
+        c.Engine.procs.(0).Runtime.Proc.status
+      in
+      let rec persistent c =
+        if Engine.enabled c = [] then c else persistent (Engine.step c 0)
+      in
+      let p = persistent config in
+      Alcotest.(check bool) (name ^ ": persistent status") true
+        (status p = Runtime.Proc.Faulty expected);
+      let m = Engine.Machine.of_config config in
+      while Engine.Machine.enabled m <> [] do
+        Engine.Machine.step m 0
+      done;
+      let compiled = Engine.Machine.config m in
+      let fuzzed =
+        (Fuzz.run ~kind:Fuzz.Random_walk ~seed:1 config).Fuzz.final
+      in
+      List.iter
+        (fun (executor, c) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s status" name executor)
+            true
+            (status c = status p);
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s digest" name executor)
+            (Fingerprint.digest p) (Fingerprint.digest c))
+        [ ("compiled machine", compiled); ("fuzz run", fuzzed) ];
+      Alcotest.(check bool) (name ^ ": run_sequential") true
+        (match
+           Runtime.Program.run_sequential config.Engine.store ~pid:0
+             (fail_at ops)
+         with
+        | Error e -> e = expected
+        | Ok _ -> false))
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "fuzz"
@@ -317,6 +373,8 @@ let () =
           Alcotest.test_case "lost write" `Quick test_step_lost_semantics;
           Alcotest.test_case "fault decisions round-trip and replay" `Quick
             test_fault_decisions_roundtrip;
+          Alcotest.test_case "raising continuation faults its process"
+            `Quick test_raising_continuation;
         ] );
       ( "oracle",
         [

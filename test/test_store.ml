@@ -410,7 +410,7 @@ let test_wide_fallback () =
       ("verify", false, false, true);
     ]
 
-(* --- fuzz certificates: pinned, replay on both backends --- *)
+(* --- fuzz certificates: pinned, replay on the reference --- *)
 
 (* MD5 of the certificate's JSON with the informational [version] field
    blanked: the certificate a campaign stepping the persistent engine
@@ -434,14 +434,9 @@ let test_fuzz_certs_agree () =
   | Some cert ->
     Alcotest.(check string) "certificate digest" fuzz_cert_pin
       (cert_digest cert);
-    let config = Protocols.Election.config cas_instance in
-    List.iter
-      (fun backend ->
-        match Runtime.Repro.replay ~backend cert config with
-        | Ok _ -> ()
-        | Error e ->
-          Alcotest.failf "replay on %s: %s" (Engine.backend_name backend) e)
-      [ Engine.Persistent; Engine.Arena ]
+    match Runtime.Repro.replay cert (Protocols.Election.config cas_instance) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "replay: %s" e
 
 (* --- closure interpretation: fuzz run == engine, digest-for-digest --- *)
 
